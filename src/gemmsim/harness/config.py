@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import os
+import sys
 from pathlib import Path
 from typing import Any
+
+from ..meshflow import covering_side
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "GEMMSIM_OUTPUT_DIR"
@@ -81,6 +83,8 @@ def _as_int(value: Any, key: str, minimum: int | None = None) -> int:
 def _as_number(value: Any, key: str, minimum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key '{key}' must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
+        raise ConfigError(f"key '{key}' must be a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"key '{key}' must be >= {minimum}, got {value}")
     return float(value)
@@ -139,9 +143,7 @@ def resolve_arch(raw: Any, workload: dict) -> dict:
         out["extent"] = _as_int(raw.get("extent", workload["n"]), "extent", 1)
         out["hop_latency"] = _as_int(raw.get("hop_latency", 1), "hop_latency", 1)
     elif arch_type == "grid":
-        side = math.isqrt(workload["n"])
-        if side * side < workload["n"]:
-            side += 1
+        side = covering_side(workload["n"])
         out["rows"] = _as_int(raw.get("rows", side), "rows", 1)
         out["cols"] = _as_int(raw.get("cols", side), "cols", 1)
         out["hop_latency"] = _as_int(raw.get("hop_latency", 1), "hop_latency", 1)
@@ -256,16 +258,17 @@ def resolve_config(raw: dict) -> dict:
             if not isinstance(entry, dict):
                 raise ConfigError("each bounds entry must be an object")
             _check_known_keys(entry, {"inputs", "outputs", "computations", "dimension"}, "bounds entry")
-            resolved_entries.append(
-                {
-                    "inputs": _as_int(_require(entry, "inputs", "bounds entry"), "inputs", 1),
-                    "outputs": _as_int(_require(entry, "outputs", "bounds entry"), "outputs", 1),
-                    "computations": _as_int(
-                        _require(entry, "computations", "bounds entry"), "computations", 1
-                    ),
-                    "dimension": _as_int(_require(entry, "dimension", "bounds entry"), "dimension", 1),
-                }
-            )
+            resolved_entry = {
+                "inputs": _as_int(_require(entry, "inputs", "bounds entry"), "inputs", 1),
+                "outputs": _as_int(_require(entry, "outputs", "bounds entry"), "outputs", 1),
+                "computations": _as_int(
+                    _require(entry, "computations", "bounds entry"), "computations", 1
+                ),
+                "dimension": _as_int(_require(entry, "dimension", "bounds entry"), "dimension", 1),
+            }
+            if resolved_entry["dimension"] > 3:
+                raise ConfigError(f"key 'dimension' must be 1, 2 or 3, got {entry['dimension']}")
+            resolved_entries.append(resolved_entry)
         resolved["entries"] = resolved_entries
     elif kind == "darksilicon":
         top_allowed |= {"generations"}

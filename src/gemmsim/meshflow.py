@@ -50,10 +50,13 @@ class MeshConfig:
 
     @property
     def num_pes(self) -> int:
-        total = 1
-        for e in self.extents:
-            total *= e
-        return total
+        return math.prod(self.extents)
+
+
+def covering_side(n: int) -> int:
+    """Side of the smallest square grid with at least n PEs."""
+    side = math.isqrt(n)
+    return side if side * side >= n else side + 1
 
 
 def simulate_chain_reduction(
@@ -128,9 +131,7 @@ def simulate_grid_reduction(
     for the longest row, keeping the schedule deterministic.
     """
     if cfg is None:
-        side = math.isqrt(n)
-        if side * side < n:
-            side += 1
+        side = covering_side(n)
         cfg = MeshConfig.grid(side, side)
     if cfg.dimension != 2:
         raise ValueError("grid reduction needs a 2-D mesh config")
@@ -197,9 +198,7 @@ def empirical_bound_ratio(n: int, dimension: int, hop_latency: int = 1) -> float
     if dimension == 1:
         sim = simulate_chain_reduction(n, MeshConfig.chain(n, hop_latency))
     elif dimension == 2:
-        side = math.isqrt(n)
-        if side * side < n:
-            side += 1
+        side = covering_side(n)
         sim = simulate_grid_reduction(n, MeshConfig.grid(side, side, hop_latency))
     else:
         raise ValueError(f"mesh dimension must be 1 or 2, got {dimension}")

@@ -113,11 +113,9 @@ class PEAssignment:
             raise ValueError(
                 f"{num_pes} PEs cannot each own an output of a {out_rows}x{out_cols} result"
             )
-        base, extra = divmod(total, num_pes)
-        starts = [0]
-        for q in range(num_pes):
-            starts.append(starts[-1] + base + (1 if q < extra else 0))
-        return cls(out_rows, out_cols, tuple(starts))
+        base, extra = divmod(total, num_pes)  # the first `extra` PEs own one more
+        starts = tuple(q * base + min(q, extra) for q in range(num_pes + 1))
+        return cls(out_rows, out_cols, starts)
 
     @property
     def num_pes(self) -> int:
@@ -139,19 +137,19 @@ class PEAssignment:
         ]
 
 
-def _distinct_groups(leaves: Sequence[int], group: int) -> int:
-    return len({q // group for q in leaves})
-
-
 def _cs_transfer_counts(tree: CETree, assign: PEAssignment, k: int) -> dict[str, int]:
     """Aggregate per-link-kind transfer counts for one full GEMM.
 
     Downward counts follow multicast semantics: an element crosses the root
     port once per step it is streamed in, and is replicated by CEs only at
     branch points whose subtrees need it.  Every A row slice A[i, *] is
-    needed by the (contiguous) PE interval owning row i; every B column
-    slice B[*, j] by the set of PEs owning something in column j.  The same
-    need sets apply to each of the k inner-dimension slices.
+    needed by the PEs owning something in row i; every B column slice
+    B[*, j] by the PEs owning something in column j.  The same need sets
+    apply to each of the k inner-dimension slices.
+
+    Owners never decrease along a row or down a column, so the subtrees of
+    g leaves needing row or column slices number m + n plus the changes of
+    owner // g along the rows and down the columns.
     """
     m, n = assign.out_rows, assign.out_cols
     levels, fanout = tree.levels, tree.fanout
@@ -162,21 +160,15 @@ def _cs_transfer_counts(tree: CETree, assign: PEAssignment, k: int) -> dict[str,
             "pe_to_pe": 0,
         }
 
-    row_intervals = [
-        (assign.owner_of(i, 0), assign.owner_of(i, n - 1)) for i in range(m)
-    ]
-    col_sets = [
-        sorted({assign.owner_of(i, j) for i in range(m)}) for j in range(n)
-    ]
+    owner = np.searchsorted(assign.starts, np.arange(m * n), side="right").reshape(m, n) - 1
 
-    ce_to_pe = sum(hi - lo + 1 for lo, hi in row_intervals)
-    ce_to_pe += sum(len(s) for s in col_sets)
+    def subtrees(group: int) -> int:
+        g = owner // group
+        changes = np.count_nonzero(np.diff(g, axis=1)) + np.count_nonzero(np.diff(g, axis=0))
+        return m + n + int(changes)
 
-    ce_to_ce_down = 0
-    for level in range(2, levels + 1):
-        group = fanout ** (levels - level)
-        ce_to_ce_down += sum(hi // group - lo // group + 1 for lo, hi in row_intervals)
-        ce_to_ce_down += sum(_distinct_groups(s, group) for s in col_sets)
+    ce_to_pe = subtrees(1)
+    ce_to_ce_down = sum(subtrees(fanout**e) for e in range(levels - 1))
 
     outputs = m * n
     return {

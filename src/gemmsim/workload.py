@@ -2,7 +2,7 @@
 
 Every simulator in this package consumes the same operand containers and is
 checked bit-exactly against :func:`reference_matmul`, which is deliberately
-implemented with plain Python integers (no numpy) so it stays an independent
+implemented with plain Python integer arithmetic so it stays an independent
 route from the numpy-backed simulator internals.
 """
 
@@ -41,63 +41,83 @@ class GemmShape:
         return self.m * self.n * self.k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matrix:
-    """Immutable row-major matrix of exact Python integers."""
+    """Immutable row-major matrix stored as one flat, read-only int64 array.
+
+    The constructor copies any flat integer sequence or array into its own
+    buffer and rejects floats, bools and values that do not fit in int64.
+    """
 
     rows: int
     cols: int
-    data: tuple[int, ...]
+    data: np.ndarray
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"matrix must be at least 1x1, got {self.rows}x{self.cols}")
-        if not isinstance(self.data, tuple):
-            object.__setattr__(self, "data", tuple(self.data))
-        if len(self.data) != self.rows * self.cols:
+        data = self.data
+        if not isinstance(data, np.ndarray):
+            # numpy silently turns bools mixed with ints into ints.
+            if not {bool, np.bool_}.isdisjoint(map(type, data)):
+                raise ValueError("matrix elements must be integers, got a bool")
+            data = np.array(data)
+        if data.shape != (self.rows * self.cols,):
             raise ValueError(
                 f"expected {self.rows * self.cols} elements for a "
-                f"{self.rows}x{self.cols} matrix, got {len(self.data)}"
+                f"{self.rows}x{self.cols} matrix, got shape {data.shape}"
             )
-        if any(not isinstance(e, int) for e in self.data):
-            raise ValueError("matrix elements must be Python integers")
+        kind = data.dtype.kind
+        if kind not in "iu" or (kind == "u" and np.any(data > np.iinfo(np.int64).max)):
+            raise ValueError(f"matrix elements must be integers that fit in int64, got {data.dtype}")
+        data = data.astype(np.int64)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return np.array_equal(self.to_numpy(), other.to_numpy())
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.data.tobytes()))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Matrix":
-        r = len(rows)
         c = len(rows[0])
         if any(len(row) != c for row in rows):
             raise ValueError("ragged row lengths")
-        return cls(r, c, tuple(int(e) for row in rows for e in row))
+        return cls(len(rows), c, [e for row in rows for e in row])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls(rows, cols, np.zeros(rows * cols, dtype=np.int64))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, n, np.eye(n, dtype=np.int64).ravel())
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "Matrix":
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls(arr.shape[0], arr.shape[1], tuple(int(x) for x in arr.ravel()))
+        return cls(arr.shape[0], arr.shape[1], arr.ravel())
 
     def at(self, i: int, j: int) -> int:
-        return self.data[i * self.cols + j]
+        return int(self.data[i * self.cols + j])
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i * self.cols : (i + 1) * self.cols]
+        return tuple(self.data[i * self.cols : (i + 1) * self.cols].tolist())
 
     def col(self, j: int) -> tuple[int, ...]:
-        return self.data[j :: self.cols]
+        return tuple(self.data[j :: self.cols].tolist())
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return self.to_numpy().tolist()
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(self.data, dtype=np.int64).reshape(self.rows, self.cols)
+        """Read-only (rows, cols) view of the matrix's own buffer."""
+        return self.data.reshape(self.rows, self.cols)
 
     def slice_rows(self, lo: int, hi: int) -> "Matrix":
         if not (0 <= lo < hi <= self.rows):
@@ -107,23 +127,17 @@ class Matrix:
     def slice_cols(self, lo: int, hi: int) -> "Matrix":
         if not (0 <= lo < hi <= self.cols):
             raise ValueError(f"bad column slice [{lo}, {hi}) for {self.cols} columns")
-        data = tuple(
-            self.data[i * self.cols + j] for i in range(self.rows) for j in range(lo, hi)
-        )
-        return Matrix(self.rows, hi - lo, data)
-
-    def max_abs(self) -> int:
-        return max(abs(e) for e in self.data)
+        return Matrix(self.rows, hi - lo, self.to_numpy()[:, lo:hi].ravel())
 
 
 def require_operand_range(*matrices: Matrix) -> None:
     """Reject matrices whose elements fall outside the operand width."""
     for mat in matrices:
-        for e in mat.data:
-            if e < OPERAND_MIN or e > OPERAND_MAX:
-                raise ValueError(
-                    f"operand element {e} outside [{OPERAND_MIN}, {OPERAND_MAX}]"
-                )
+        bad = (mat.data < OPERAND_MIN) | (mat.data > OPERAND_MAX)
+        if bad.any():
+            raise ValueError(
+                f"operand element {mat.data[bad.argmax()]} outside [{OPERAND_MIN}, {OPERAND_MAX}]"
+            )
 
 
 def resolve_vector_operands(
@@ -137,9 +151,7 @@ def resolve_vector_operands(
     a, b = (tuple(int(x) for x in v) for v in operands)
     if len(a) != n or len(b) != n:
         raise ValueError(f"operand vectors must have length {n}")
-    for v in a + b:
-        if v < OPERAND_MIN or v > OPERAND_MAX:
-            raise ValueError(f"operand element {v} outside [{OPERAND_MIN}, {OPERAND_MAX}]")
+    require_operand_range(Matrix(2, n, a + b))
     return a, b
 
 
@@ -166,13 +178,11 @@ def make_gemm(shape: GemmShape, seed: int) -> tuple[Matrix, Matrix]:
     are bitwise identical.
     """
     rng = random.Random(seed)
-    a = Matrix(
-        shape.m, shape.k, tuple(rng.randint(OPERAND_MIN, OPERAND_MAX) for _ in range(shape.m * shape.k))
+    a, b = (
+        [rng.randint(OPERAND_MIN, OPERAND_MAX) for _ in range(count)]
+        for count in (shape.m * shape.k, shape.k * shape.n)
     )
-    b = Matrix(
-        shape.k, shape.n, tuple(rng.randint(OPERAND_MIN, OPERAND_MAX) for _ in range(shape.k * shape.n))
-    )
-    return a, b
+    return Matrix(shape.m, shape.k, a), Matrix(shape.k, shape.n, b)
 
 
 def make_vectors(n: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -189,19 +199,14 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
     """Ground-truth GEMM in exact integer arithmetic.
 
     Pure Python on purpose: this is the oracle every simulator is compared
-    against, so it must not share the simulators' numpy code paths.
+    against, so it multiplies the Python ints of ``to_rows()`` and does not
+    share the simulators' numpy arithmetic.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
-    m, k, n = a.rows, a.cols, b.cols
-    bcols = [b.col(j) for j in range(n)]
-    out: list[int] = []
-    for i in range(m):
-        arow = a.row(i)
-        for j in range(n):
-            bcol = bcols[j]
-            out.append(sum(x * y for x, y in zip(arow, bcol)))
-    return Matrix(m, n, tuple(out))
+    bcols = list(zip(*b.to_rows()))
+    out = [sum(x * y for x, y in zip(arow, bcol)) for arow in a.to_rows() for bcol in bcols]
+    return Matrix(a.rows, b.cols, out)
 
 
 def outer_product_schedule(a: Matrix, b: Matrix, block_width: int) -> list[OuterProductStep]:

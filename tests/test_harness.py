@@ -208,6 +208,42 @@ def test_bounds_experiment(tmp_path):
     assert 5.65 < float(rows[1]["bound_value"]) < 5.66
 
 
+def test_bounds_dimension_out_of_range_is_config_error(tmp_path, capsys):
+    payload = {
+        "schema_version": 1,
+        "kind": "bounds",
+        "entries": [{"inputs": 32, "outputs": 1, "computations": 16, "dimension": 4}],
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["run", str(cfg)]) == 2
+    assert "'dimension'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("alpha", float("nan")),
+        ("beta", float("inf")),
+        ("node_mac_rate", float("-inf")),
+        ("alpha", 10**400),  # an integer beyond float range
+    ],
+)
+def test_non_finite_number_is_config_error(tmp_path, capsys, key, value):
+    payload = {
+        "schema_version": 1,
+        "kind": "simulate",
+        "workload": {"m": 4, "n": 4, "k": 4},
+        "arch": {"type": "summa", "p_rows": 2, "p_cols": 2, key: value},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    cfg = write_config(tmp_path, payload)  # json writes NaN / Infinity / -Infinity
+    assert cli.main(["run", str(cfg)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reports_are_byte_identical(tmp_path):
     cfg_a = write_config(tmp_path, simulate_config(tmp_path / "a"), "a.json")
     cfg_b = write_config(tmp_path, simulate_config(tmp_path / "b"), "b.json")
@@ -279,7 +315,8 @@ def test_validate_detects_injected_fault(monkeypatch):
 
     def corrupted(a, b, cfg, **kwargs):
         res = real(a, b, cfg, **kwargs)
-        broken = res.result.data[:-1] + (res.result.data[-1] + 1,)
+        broken = res.result.data.copy()
+        broken[-1] += 1
         return res.__class__(
             cycles=res.cycles,
             result=res.result.__class__(res.result.rows, res.result.cols, broken),

@@ -54,6 +54,13 @@ def test_chain_extent_too_small():
         simulate_chain_reduction(8, MeshConfig.chain(7))
 
 
+def test_explicit_operands_out_of_range_rejected():
+    with pytest.raises(ValueError, match="operand element 128 outside"):
+        simulate_chain_reduction(2, operands=((1, 2), (128, 3)))
+    with pytest.raises(ValueError, match="operand element -129 outside"):
+        simulate_grid_reduction(2, operands=((-129, 2), (1, 3)))
+
+
 def test_chain_exactness_random():
     rng = random.Random(5)
     for _ in range(20):

@@ -53,6 +53,61 @@ def test_matrix_accessors():
     assert Matrix.from_numpy(m.to_numpy()) == m
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        (1, 2.0),
+        (True, 2),
+        (np.True_, 2),
+        (2**63, 0),
+        (-(2**63) - 1, 0),
+        np.array([1.0, 2.0]),
+        np.array([True, False]),
+        np.array([2**63, 0], dtype=np.uint64),
+    ],
+)
+def test_matrix_rejects_non_int64_elements(data):
+    with pytest.raises(ValueError):
+        Matrix(1, 2, data)
+
+
+def test_matrix_accepts_int64_range_and_numpy_ints():
+    m = Matrix(1, 3, (np.int64(2**63 - 1), -(2**63), np.uint8(7)))
+    assert m.row(0) == (2**63 - 1, -(2**63), 7)
+    assert m.data.dtype == np.int64
+
+
+def test_matrix_storage_is_read_only():
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    view = m.to_numpy()
+    assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0, 0] = 9
+    with pytest.raises(ValueError):
+        m.data[0] = 9
+    assert m.to_rows() == [[1, 2], [3, 4]]
+
+
+def test_matrix_never_aliases_its_input():
+    arr = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    m = Matrix.from_numpy(arr)
+    assert not np.shares_memory(m.data, arr)
+    arr[0, 0] = 99
+    assert m.at(0, 0) == 1
+    flat = np.array([5, 6], dtype=np.int64)
+    v = Matrix(1, 2, flat)
+    flat[1] = 0
+    assert v.at(0, 1) == 6
+
+
+def test_matrix_equality_compares_shape_and_values():
+    a = Matrix.from_rows([[1, 2, 3, 4]])
+    assert a == Matrix(1, 4, np.arange(1, 5))
+    assert hash(a) == hash(Matrix(1, 4, np.arange(1, 5)))
+    assert a != Matrix(2, 2, (1, 2, 3, 4))
+    assert a != Matrix(1, 4, (1, 2, 3, 5))
+
+
 def test_make_gemm_deterministic():
     a1, b1 = make_gemm(GemmShape(1, 1, 1), 0)
     a2, b2 = make_gemm(GemmShape(1, 1, 1), 0)
@@ -66,12 +121,12 @@ def test_make_gemm_deterministic():
 def test_make_gemm_seed_sensitivity():
     a1, b1 = make_gemm(GemmShape(8, 8, 8), 1)
     a2, b2 = make_gemm(GemmShape(8, 8, 8), 2)
-    assert a1.data != a2.data or b1.data != b2.data
+    assert a1.data.tolist() != a2.data.tolist() or b1.data.tolist() != b2.data.tolist()
 
 
 def test_make_gemm_operand_range():
     a, b = make_gemm(GemmShape(16, 16, 16), 3)
-    assert all(-128 <= e <= 127 for e in a.data + b.data)
+    assert all(-128 <= e <= 127 for e in a.data.tolist() + b.data.tolist())
 
 
 def test_make_vectors():

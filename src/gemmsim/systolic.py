@@ -55,81 +55,80 @@ def simulate_systolic_gemm(
 
     Counts every cycle of every pass (load, fill, steady streaming, drain).
     mac_ops_issued counts only useful MACs, i.e. positions where a real A
-    element meets a real B element, so it totals m*n*k.
+    element meets a real B element, so it totals m*n*k.  The tile passes are
+    independent, so one clock loop advances all of them together; the trace
+    is pass-major (k-tile major): R load zeros, then the pass's streaming
+    clocks.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
     require_operand_range(a, b)
     m, k, n = a.rows, a.cols, b.cols
     r_ext, c_ext = cfg.rows, cfg.cols
-
-    a_np = a.to_numpy()
-    b_np = b.to_numpy()
-    c_acc = np.zeros((m, n), dtype=np.int64)
-
+    kt, nt = -(-k // r_ext), -(-n // c_ext)
     stream_span = m + r_ext + c_ext - 2
-    cycles = 0
-    mac_ops = 0
-    collect_trace = with_trace
-    trace: list[int] = []
 
-    for k0 in range(0, k, r_ext):
-        ke = min(r_ext, k - k0)
-        # Injection schedule for this k-tile: at stream cycle s, array row r
-        # receives A[s - r, k0 + r] (skewed wavefront), zero outside range.
-        inject = np.zeros((stream_span, r_ext), dtype=np.int64)
-        for r in range(ke):
-            inject[r : r + m, r] = a_np[:, k0 + r]
-        for n0 in range(0, n, c_ext):
-            ne = min(c_ext, n - n0)
-            weights = np.zeros((r_ext, c_ext), dtype=np.int64)
-            weights[:ke, :ne] = b_np[k0 : k0 + ke, n0 : n0 + ne]
+    # Injection schedule: at stream cycle s, array row r of k-tile t receives
+    # A[s - r, t*R + r] (skewed wavefront), zero outside range.
+    a_np = a.to_numpy()
+    inject = np.zeros((stream_span, kt, r_ext), dtype=np.int64)
+    for r in range(min(r_ext, k)):
+        cols = a_np[:, r::r_ext]
+        inject[r : r + m, : cols.shape[1], r] = cols
+    # weights[t, u] is the zero-padded B tile of pass (k-tile t, n-tile u).
+    weights = (
+        np.pad(b.to_numpy(), ((0, kt * r_ext - k), (0, nt * c_ext - n)))
+        .reshape(kt, r_ext, nt, c_ext)
+        .transpose(0, 2, 1, 3)
+        .copy()
+    )
 
-            # Weight load: one tile row per clock, no streaming overlap.
-            cycles += r_ext
-            if collect_trace:
-                trace.extend([0] * r_ext)
+    a_reg, a_next = (np.zeros((kt, 1, r_ext, c_ext), dtype=np.int64) for _ in range(2))
+    psum, p_next = (np.zeros(weights.shape, dtype=np.int64) for _ in range(2))
+    bottom = np.empty((stream_span, nt, c_ext), dtype=np.int64)
+    for s in range(stream_span):
+        # A moves one PE east; partial sums move one PE south and accumulate.
+        a_next[:, 0, :, 0] = inject[s]
+        a_next[..., 1:] = a_reg[..., :-1]
+        np.multiply(a_next, weights, out=p_next)
+        p_next[:, :, 1:] += psum[:, :, :-1]
+        # The bottom row leaves the array; the k-tiles of an output add up.
+        p_next[:, :, -1].sum(axis=0, out=bottom[s])
+        a_reg, a_next = a_next, a_reg
+        psum, p_next = p_next, psum
+    del inject, weights, psum, p_next  # free the pass state before the result is copied
+    # Column c of n-tile u finishes logical row i at stream cycle i + R - 1 + c.
+    i, u, c = np.ogrid[:m, :nt, :c_ext]
+    c_acc = bottom[i + r_ext - 1 + c, u, c]
 
-            a_reg = np.zeros((r_ext, c_ext), dtype=np.int64)
-            psum = np.zeros((r_ext, c_ext), dtype=np.int64)
-            rs = np.arange(ke)
-            for s in range(stream_span):
-                new_a = np.empty_like(a_reg)
-                new_a[:, 0] = inject[s]
-                new_a[:, 1:] = a_reg[:, :-1]
-                prod = new_a * weights
-                new_psum = np.empty_like(psum)
-                new_psum[0, :] = prod[0, :]
-                new_psum[1:, :] = psum[:-1, :] + prod[1:, :]
+    # Useful MACs per pass and stream cycle: PEs (r, c) with r < ke, c < ne
+    # and a real A row in flight (0 <= s - r - c < m).  Tiles share one of at
+    # most two (ke, ne) extents each, so count once per distinct extent.
+    ke, ke_of, ke_count = np.unique(
+        np.minimum(r_ext, k - r_ext * np.arange(kt)), return_inverse=True, return_counts=True
+    )
+    ne, ne_of, ne_count = np.unique(
+        np.minimum(c_ext, n - c_ext * np.arange(nt)), return_inverse=True, return_counts=True
+    )
+    d = np.arange(stream_span)[:, None] - np.arange(r_ext)  # s - r
+    lo = np.maximum(0, d - m + 1)
+    hi = np.minimum(ne[:, None, None] - 1, d)
+    per_row = np.maximum(0, hi - lo + 1)  # (ne, s, r)
+    active = per_row.cumsum(axis=2)[:, :, ke - 1]  # (ne, s, ke)
+    mac_ops = int(ne_count @ active.sum(axis=1) @ ke_count)
 
-                # Useful MACs this clock: PEs (r, c) with r < ke, c < ne and a
-                # real A row in flight (0 <= s - r - c < m).
-                lo = np.maximum(0, s - rs - m + 1)
-                hi = np.minimum(ne - 1, s - rs)
-                active = int(np.maximum(0, hi - lo + 1).sum())
-                mac_ops += active
-                if collect_trace:
-                    trace.append(active)
+    trace = None
+    if with_trace:
+        per_pass = np.zeros((kt, nt, r_ext + stream_span), dtype=np.int64)
+        per_pass[:, :, r_ext:] = active[ne_of][:, :, ke_of].transpose(2, 0, 1)
+        trace = tuple(per_pass.ravel().tolist())
 
-                # Completed outputs leave the bottom row: column c finishes
-                # logical row i = s - (R - 1) - c this clock.
-                c_hi = min(ne - 1, s - (r_ext - 1))
-                c_lo = max(0, s - (r_ext - 1) - (m - 1))
-                if c_hi >= c_lo:
-                    cs = np.arange(c_lo, c_hi + 1)
-                    c_acc[s - (r_ext - 1) - cs, n0 + cs] += new_psum[r_ext - 1, cs]
-
-                a_reg = new_a
-                psum = new_psum
-            cycles += stream_span
-
-    passes = math.ceil(k / r_ext) * math.ceil(n / c_ext)
-    phases = {"load": passes * r_ext, "stream": passes * stream_span}
+    passes = kt * nt
     return build_result(
-        cycles,
-        Matrix.from_numpy(c_acc),
+        passes * (r_ext + stream_span),
+        Matrix.from_numpy(c_acc.reshape(m, nt * c_ext)[:, :n]),
         mac_ops,
         cfg.num_pes,
-        phases=phases,
-        activity_trace=tuple(trace) if with_trace else None,
+        phases={"load": passes * r_ext, "stream": passes * stream_span},
+        activity_trace=trace,
     )

@@ -8,6 +8,7 @@ import pytest
 from gemmsim.harness import cli
 from gemmsim.harness.config import ConfigError, resolve_config
 from gemmsim.harness.experiments import REPORT_COLUMNS, run_experiment
+from gemmsim.harness.report import write_report
 from gemmsim.harness.validation import run_validation
 
 
@@ -40,6 +41,28 @@ def test_minimal_simulate_run(tmp_path):
     assert rows[0]["cycles"] == "14"
     assert rows[0]["architecture"] == "systolic"
     assert (tmp_path / "out" / "report.meta.json").exists()
+
+
+def test_failed_report_write_leaves_no_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cell cannot be written")
+
+    out = tmp_path / "out"
+    resolved = resolve_config(simulate_config(out))
+    rows = run_experiment(resolved)
+    bad_rows = rows + [dict(rows[0], cycles=Unprintable())]
+    with pytest.raises(RuntimeError):
+        write_report(resolved, bad_rows, "test")
+    assert list(out.iterdir()) == []
+
+    # A failed rewrite keeps the earlier complete report as it was.
+    csv_path, sidecar_path = write_report(resolved, rows, "test")
+    before = csv_path.read_bytes(), sidecar_path.read_bytes()
+    with pytest.raises(RuntimeError):
+        write_report(resolved, bad_rows, "test")
+    assert sorted(out.iterdir()) == sorted([csv_path, sidecar_path])
+    assert (csv_path.read_bytes(), sidecar_path.read_bytes()) == before
 
 
 def test_compare_streamer_vs_systolic(tmp_path):

@@ -13,6 +13,7 @@ from gemmsim import (
     outer_product_schedule,
     reference_matmul,
 )
+from gemmsim.workload import _draw_operands
 
 
 def outer_product_sum(steps, m, n):
@@ -127,6 +128,15 @@ def test_make_gemm_seed_sensitivity():
 def test_make_gemm_operand_range():
     a, b = make_gemm(GemmShape(16, 16, 16), 3)
     assert all(-128 <= e <= 127 for e in a.data.tolist() + b.data.tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
+def test_operand_draws_match_randint(seed):
+    expected_rng, rng = random.Random(seed), random.Random(seed)
+    for count in (0, 1, 3, 1000):
+        assert _draw_operands(rng, count) == [expected_rng.randint(-128, 127) for _ in range(count)]
+        # The generator must be left where randint leaves it.
+        assert rng.random() == expected_rng.random()
 
 
 def test_make_vectors():

@@ -117,9 +117,7 @@ def dark_silicon(generation: int) -> DarkSiliconPoint:
 
 
 def ceil_log2(p: int) -> int:
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return (p - 1).bit_length()
+    return tree_time(p, 2)
 
 
 def collective_cost(kind: CollectiveKind, p: int, nbytes: int, model: CommModel) -> float:
@@ -136,7 +134,7 @@ def collective_cost(kind: CollectiveKind, p: int, nbytes: int, model: CommModel)
         raise ValueError(f"byte count must be >= 0, got {nbytes}")
     if p == 1:
         return 0.0
-    rounds = ceil_log2(p)
+    rounds = tree_time(p, 2)
     if kind in (CollectiveKind.BROADCAST, CollectiveKind.REDUCE):
         return rounds * (model.alpha + model.beta * nbytes)
     if kind in (CollectiveKind.SCATTER, CollectiveKind.GATHER):

@@ -41,7 +41,7 @@ def _execute(config_path: str, require_sweep: bool) -> int:
     except ConfigError as exc:
         _err(f"config error: {exc}")
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         _err(f"simulation input rejected: {exc}")
         return EXIT_SIM_INPUT
 

@@ -12,39 +12,16 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
-from ..meshflow import covering_side
+from .. import bounds, meshflow, streamer, summa, systolic
+from .. import workload as workload_mod
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "GEMMSIM_OUTPUT_DIR"
 
 KINDS = ("simulate", "sweep", "compare", "bounds", "darksilicon", "validate")
-ARCH_TYPES = ("systolic", "chain", "grid", "tree", "streamer", "summa")
-GEMM_ARCHS = ("systolic", "streamer", "summa")
-INNER_PRODUCT_ARCHS = ("chain", "grid", "tree")
-
-# Union of keys any arch spec may carry.  Keys irrelevant to the selected
-# type are tolerated so one base spec can be swept across types; anything
-# outside this set is a config error.
-ARCH_KEYS = {
-    "type",
-    "rows",
-    "cols",
-    "extent",
-    "hop_latency",
-    "fanout",
-    "level_latency",
-    "pes",
-    "port_width",
-    "p_rows",
-    "p_cols",
-    "alpha",
-    "beta",
-    "node_mac_rate",
-    "element_bytes",
-}
-
+REQUIRED = object()  # default of an arch key that every spec of its type must give
 WORKLOAD_KEYS = {"kind", "m", "n", "k", "seed", "block_width"}
 
 
@@ -123,47 +100,132 @@ def resolve_workload(raw: Any) -> dict:
     return out
 
 
+def _as_positive(value: Any, key: str, minimum: None = None) -> float:
+    value = _as_number(value, key)
+    if value <= 0:
+        raise ConfigError(f"key '{key}' must be positive")
+    return value
+
+
+class Arch(NamedTuple):
+    """One machine: its workload kind, its keys in resolution order, and its runner.
+
+    A key's default is REQUIRED, a value, or a function of the workload and
+    the keys before it.  Runners find simulators on their modules at call
+    time, so patched simulators run.  Mesh machines report the mesh bound of
+    their dimension beside their cycles.
+    """
+
+    workload: str
+    keys: tuple[tuple[str, Any, float | None, Callable[..., Any]], ...]
+    run: Callable[[dict, dict], Any]
+    mesh_dimension: int | None = None
+
+
+def _operands(w: dict) -> tuple:
+    return workload_mod.make_gemm(workload_mod.GemmShape(w["m"], w["n"], w["k"]), w["seed"])
+
+
+ARCHS = {
+    "systolic": Arch(
+        "gemm",
+        (("rows", REQUIRED, 1, _as_int), ("cols", REQUIRED, 1, _as_int)),
+        lambda arch, w: systolic.simulate_systolic_gemm(
+            *_operands(w), systolic.SystolicConfig(arch["rows"], arch["cols"])
+        ),
+    ),
+    "chain": Arch(
+        "inner_product",
+        (("extent", lambda w, _: w["n"], 1, _as_int), ("hop_latency", 1, 1, _as_int)),
+        lambda arch, w: meshflow.simulate_chain_reduction(
+            w["n"], meshflow.MeshConfig.chain(arch["extent"], arch["hop_latency"]), seed=w["seed"]
+        ),
+        mesh_dimension=1,
+    ),
+    "grid": Arch(
+        "inner_product",
+        (
+            ("rows", lambda w, _: meshflow.covering_side(w["n"]), 1, _as_int),
+            ("cols", lambda w, _: meshflow.covering_side(w["n"]), 1, _as_int),
+            ("hop_latency", 1, 1, _as_int),
+        ),
+        lambda arch, w: meshflow.simulate_grid_reduction(
+            w["n"],
+            meshflow.MeshConfig.grid(arch["rows"], arch["cols"], arch["hop_latency"]),
+            seed=w["seed"],
+        ),
+        mesh_dimension=2,
+    ),
+    "tree": Arch(
+        "inner_product",
+        (("fanout", 2, 2, _as_int), ("level_latency", 1, 1, _as_int)),
+        lambda arch, w: streamer.simulate_tree_inner_product(
+            w["n"], arch["fanout"], arch["level_latency"], seed=w["seed"]
+        ),
+    ),
+    "streamer": Arch(
+        "gemm",
+        (
+            ("pes", REQUIRED, 1, _as_int),
+            ("fanout", 4, 2, _as_int),
+            ("level_latency", 1, 1, _as_int),
+            ("port_width", lambda _, out: out["fanout"], 1, _as_int),
+        ),
+        lambda arch, w: streamer.simulate_cs_gemm(
+            *_operands(w),
+            streamer.build_ce_tree(
+                arch["pes"], arch["fanout"], arch["level_latency"], arch["port_width"]
+            ),
+            w["block_width"],
+        ),
+    ),
+    "summa": Arch(
+        "gemm",
+        (
+            ("p_rows", REQUIRED, 1, _as_int),
+            ("p_cols", REQUIRED, 1, _as_int),
+            ("alpha", 1e-6, 0.0, _as_number),
+            ("beta", 1e-9, 0.0, _as_number),
+            ("node_mac_rate", 1e9, None, _as_positive),
+            ("element_bytes", 4, 1, _as_int),
+        ),
+        lambda arch, w: summa.simulate_summa(
+            workload_mod.GemmShape(w["m"], w["n"], w["k"]),
+            w["block_width"],
+            summa.ClusterModel(
+                arch["p_rows"],
+                arch["p_cols"],
+                bounds.CommModel(arch["alpha"], arch["beta"]),
+                arch["node_mac_rate"],
+                arch["element_bytes"],
+            ),
+        ),
+    ),
+}
+
+# Union of keys any arch spec may carry.  Keys irrelevant to the selected
+# type are tolerated so one base spec can be swept across types; anything
+# outside this set is a config error.
+ARCH_KEYS = {"type"} | {key[0] for arch in ARCHS.values() for key in arch.keys}
+
+
 def resolve_arch(raw: Any, workload: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("arch spec must be an object")
     _check_known_keys(raw, ARCH_KEYS, "arch")
     arch_type = _require(raw, "type", "arch")
-    if arch_type not in ARCH_TYPES:
-        raise ConfigError(f"arch type must be one of {ARCH_TYPES}, got {arch_type!r}")
-
-    needs = "gemm" if arch_type in GEMM_ARCHS else "inner_product"
-    if workload["kind"] != needs:
-        raise ConfigError(f"arch '{arch_type}' requires a {needs} workload")
+    if not isinstance(arch_type, str) or arch_type not in ARCHS:
+        raise ConfigError(f"arch type must be one of {tuple(ARCHS)}, got {arch_type!r}")
+    spec = ARCHS[arch_type]
+    if workload["kind"] != spec.workload:
+        raise ConfigError(f"arch '{arch_type}' requires a {spec.workload} workload")
 
     out: dict[str, Any] = {"type": arch_type}
-    if arch_type == "systolic":
-        out["rows"] = _as_int(_require(raw, "rows", "arch"), "rows", 1)
-        out["cols"] = _as_int(_require(raw, "cols", "arch"), "cols", 1)
-    elif arch_type == "chain":
-        out["extent"] = _as_int(raw.get("extent", workload["n"]), "extent", 1)
-        out["hop_latency"] = _as_int(raw.get("hop_latency", 1), "hop_latency", 1)
-    elif arch_type == "grid":
-        side = covering_side(workload["n"])
-        out["rows"] = _as_int(raw.get("rows", side), "rows", 1)
-        out["cols"] = _as_int(raw.get("cols", side), "cols", 1)
-        out["hop_latency"] = _as_int(raw.get("hop_latency", 1), "hop_latency", 1)
-    elif arch_type == "tree":
-        out["fanout"] = _as_int(raw.get("fanout", 2), "fanout", 2)
-        out["level_latency"] = _as_int(raw.get("level_latency", 1), "level_latency", 1)
-    elif arch_type == "streamer":
-        out["pes"] = _as_int(_require(raw, "pes", "arch"), "pes", 1)
-        out["fanout"] = _as_int(raw.get("fanout", 4), "fanout", 2)
-        out["level_latency"] = _as_int(raw.get("level_latency", 1), "level_latency", 1)
-        out["port_width"] = _as_int(raw.get("port_width", out["fanout"]), "port_width", 1)
-    elif arch_type == "summa":
-        out["p_rows"] = _as_int(_require(raw, "p_rows", "arch"), "p_rows", 1)
-        out["p_cols"] = _as_int(_require(raw, "p_cols", "arch"), "p_cols", 1)
-        out["alpha"] = _as_number(raw.get("alpha", 1e-6), "alpha", 0.0)
-        out["beta"] = _as_number(raw.get("beta", 1e-9), "beta", 0.0)
-        out["node_mac_rate"] = _as_number(raw.get("node_mac_rate", 1e9), "node_mac_rate")
-        if out["node_mac_rate"] <= 0:
-            raise ConfigError("key 'node_mac_rate' must be positive")
-        out["element_bytes"] = _as_int(raw.get("element_bytes", 4), "element_bytes", 1)
+    for key, default, minimum, convert in spec.keys:
+        if callable(default):
+            default = default(workload, out)
+        value = _require(raw, key, "arch") if default is REQUIRED else raw.get(key, default)
+        out[key] = convert(value, key, minimum)
     return out
 
 

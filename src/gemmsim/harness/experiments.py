@@ -5,9 +5,8 @@ from __future__ import annotations
 from typing import Any
 
 from .. import bounds as bounds_mod
-from .. import meshflow, streamer, summa, systolic
-from ..workload import GemmShape, make_gemm
-from .config import ConfigError, iter_sweep_points
+from .. import summa
+from .config import ARCHS, ConfigError, iter_sweep_points
 
 REPORT_COLUMNS = [
     "schema_version",
@@ -80,45 +79,19 @@ def _base_row(kind: str, arch_name: str, arch_params: str, workload_name: str) -
     }
 
 
-def _gemm_row(kind: str, arch: dict, workload: dict) -> dict[str, Any]:
-    shape = GemmShape(workload["m"], workload["n"], workload["k"])
-    row = _base_row(kind, arch["type"], _arch_params(arch), "gemm")
-    row.update(
-        m=shape.m, n=shape.n, k=shape.k, seed=workload["seed"], block_width=workload["block_width"]
-    )
-
-    if arch["type"] == "summa":
-        cluster = summa.ClusterModel(
-            arch["p_rows"],
-            arch["p_cols"],
-            bounds_mod.CommModel(arch["alpha"], arch["beta"]),
-            arch["node_mac_rate"],
-            arch["element_bytes"],
-        )
-        res = summa.simulate_summa(shape, workload["block_width"], cluster)
-        row.update(
-            mac_ops=res.mac_ops,
-            total_seconds=res.total_time,
-            comm_seconds=res.comm_time,
-            comp_seconds=res.comp_time,
-            comm_latency_seconds=res.comm_latency_time,
-            comm_bandwidth_seconds=res.comm_bandwidth_time,
-            steps=res.steps,
-            row_broadcasts=res.row_broadcasts,
-            col_broadcasts=res.col_broadcasts,
-        )
-        return row
-
-    a, b = make_gemm(shape, workload["seed"])
-    if arch["type"] == "systolic":
-        res = systolic.simulate_systolic_gemm(a, b, systolic.SystolicConfig(arch["rows"], arch["cols"]))
-    elif arch["type"] == "streamer":
-        tree = streamer.build_ce_tree(
-            arch["pes"], arch["fanout"], arch["level_latency"], arch["port_width"]
-        )
-        res = streamer.simulate_cs_gemm(a, b, tree, workload["block_width"])
+def _point_row(kind: str, arch: dict, workload: dict) -> dict[str, Any]:
+    spec = ARCHS[arch["type"]]
+    row = _base_row(kind, arch["type"], _arch_params(arch), workload["kind"])
+    if workload["kind"] == "gemm":
+        row.update((key, workload[key]) for key in ("m", "n", "k", "seed", "block_width"))
     else:
-        raise ConfigError(f"arch '{arch['type']}' cannot run a gemm workload")
+        row.update(vector_n=workload["n"], seed=workload["seed"])
+
+    res = spec.run(arch, workload)
+    if isinstance(res, summa.SummaResult):
+        # SUMMA is costed in seconds: each field is a column, *_time as *_seconds.
+        row.update({name.replace("_time", "_seconds"): value for name, value in vars(res).items()})
+        return row
     row.update(
         cycles=res.cycles,
         mac_ops=res.mac_ops_issued,
@@ -127,54 +100,19 @@ def _gemm_row(kind: str, arch: dict, workload: dict) -> dict[str, Any]:
         steady_state_utilization=res.steady_state_utilization,
         **_phase_columns(res),
     )
-    return row
-
-
-def _inner_product_row(kind: str, arch: dict, workload: dict) -> dict[str, Any]:
-    n, seed = workload["n"], workload["seed"]
-    row = _base_row(kind, arch["type"], _arch_params(arch), "inner_product")
-    row.update(vector_n=n, seed=seed)
-
-    if arch["type"] == "chain":
-        cfg = meshflow.MeshConfig.chain(arch["extent"], arch["hop_latency"])
-        res = meshflow.simulate_chain_reduction(n, cfg, seed=seed)
-        dimension = 1
-    elif arch["type"] == "grid":
-        cfg = meshflow.MeshConfig.grid(arch["rows"], arch["cols"], arch["hop_latency"])
-        res = meshflow.simulate_grid_reduction(n, cfg, seed=seed)
-        dimension = 2
-    elif arch["type"] == "tree":
-        res = streamer.simulate_tree_inner_product(
-            n, arch["fanout"], arch["level_latency"], seed=seed
-        )
-        dimension = None
-    else:
-        raise ConfigError(f"arch '{arch['type']}' cannot run an inner_product workload")
-
-    row.update(
-        cycles=res.cycles,
-        mac_ops=res.mac_ops_issued,
-        num_units=res.num_units,
-        utilization=res.utilization,
-        **_phase_columns(res),
-    )
-    if dimension is not None:
-        bound = bounds_mod.fisher_bound(bounds_mod.inner_product_bound_input(n, dimension))
+    if spec.mesh_dimension:
+        problem = bounds_mod.inner_product_bound_input(workload["n"], spec.mesh_dimension)
+        bound = bounds_mod.fisher_bound(problem)
         row.update(bound_value=bound, bound_ratio=res.cycles / bound)
     return row
-
-
-def _point_row(kind: str, arch: dict, workload: dict) -> dict[str, Any]:
-    if workload["kind"] == "gemm":
-        return _gemm_row(kind, arch, workload)
-    return _inner_product_row(kind, arch, workload)
 
 
 def run_experiment(resolved: dict) -> list[dict[str, Any]]:
     """Execute a resolved config and return report rows in deterministic order.
 
-    Simulator precondition violations surface as ValueError, which the CLI
-    maps to its own exit code; anything config-shaped raises ConfigError.
+    Simulator precondition violations surface as ValueError and analytic
+    models overflowing on their input as OverflowError, which the CLI maps to
+    its own exit code; anything config-shaped raises ConfigError.
     """
     kind = resolved["kind"]
     if kind == "simulate":

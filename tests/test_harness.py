@@ -1,6 +1,7 @@
 """Harness: config validation, experiment execution, reports, CLI, validate."""
 
 import csv
+import importlib
 import json
 
 import pytest
@@ -382,3 +383,130 @@ def test_validate_config_kind(tmp_path):
 def test_version_command(capsys):
     assert cli.main(["version"]) == 0
     assert capsys.readouterr().out.startswith("gemmsim ")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "darksilicon", "generations": [1024]},
+        {
+            "kind": "bounds",
+            "entries": [{"inputs": 10**400, "outputs": 1, "computations": 1, "dimension": 1}],
+        },
+        {
+            "kind": "simulate",
+            "workload": {"m": 4, "n": 4, "k": 4},
+            "arch": {"type": "summa", "p_rows": 2, "p_cols": 2, "alpha": 1e308, "beta": 1e308},
+        },
+    ],
+    ids=["darksilicon", "bounds", "summa"],
+)
+def test_model_overflow_maps_to_exit_3(tmp_path, capsys, payload):
+    payload = dict(payload, schema_version=1, output={"dir": str(tmp_path / "out")})
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["run", str(cfg)]) == 3
+    assert "rejected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_string_arch_type_is_config_error(tmp_path, capsys):
+    payload = simulate_config(tmp_path / "out")
+    payload["arch"]["type"] = ["systolic"]
+    assert cli.main(["run", str(write_config(tmp_path, payload, "simulate.json"))]) == 2
+    assert "arch type" in capsys.readouterr().err
+
+    payload = simulate_config(tmp_path / "out")
+    payload.update(kind="sweep", grid={"arch.type": [["systolic"]]})
+    assert cli.main(["sweep", str(write_config(tmp_path, payload, "sweep.json"))]) == 2
+    assert "arch type" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+GEMM = {"m": 4, "n": 4, "k": 2}
+INNER_PRODUCT = {"kind": "inner_product", "n": 10}
+
+# type -> (workload, minimal arch spec, (module, simulator) the harness must call)
+MINIMAL_SPECS = {
+    "systolic": (GEMM, {"rows": 2, "cols": 3}, ("systolic", "simulate_systolic_gemm")),
+    "chain": (INNER_PRODUCT, {}, ("meshflow", "simulate_chain_reduction")),
+    "grid": (INNER_PRODUCT, {}, ("meshflow", "simulate_grid_reduction")),
+    "tree": (INNER_PRODUCT, {}, ("streamer", "simulate_tree_inner_product")),
+    "streamer": (GEMM, {"pes": 4}, ("streamer", "simulate_cs_gemm")),
+    "summa": (GEMM, {"p_rows": 2, "p_cols": 2}, ("summa", "simulate_summa")),
+}
+
+
+def minimal_simulate(arch_type):
+    workload, spec, _ = MINIMAL_SPECS[arch_type]
+    return {
+        "schema_version": 1,
+        "kind": "simulate",
+        "workload": dict(workload),
+        "arch": dict(spec, type=arch_type),
+    }
+
+
+@pytest.mark.parametrize("arch_type", sorted(MINIMAL_SPECS))
+def test_harness_calls_patched_simulators(monkeypatch, arch_type):
+    module_name, attr = MINIMAL_SPECS[arch_type][2]
+    calls = []
+    for name, function in [(f"gemmsim.{module_name}", attr), ("gemmsim.workload", "make_gemm")]:
+        module = importlib.import_module(name)
+
+        def recording(*args, _real=getattr(module, function), _name=function, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, function, recording)
+
+    rows = run_experiment(resolve_config(minimal_simulate(arch_type)))
+    assert rows[0]["architecture"] == arch_type
+    operands = ["make_gemm"] if arch_type in ("systolic", "streamer") else []
+    assert calls == operands + [attr]
+
+
+@pytest.mark.parametrize(
+    "arch_type, extra, items, arch_params",
+    [
+        ("systolic", {}, [("rows", 2), ("cols", 3)], "rows=2 cols=3"),
+        ("chain", {}, [("extent", 10), ("hop_latency", 1)], "extent=10 hop_latency=1"),
+        (
+            "grid",
+            {},
+            [("rows", 4), ("cols", 4), ("hop_latency", 1)],
+            "rows=4 cols=4 hop_latency=1",
+        ),
+        ("tree", {}, [("fanout", 2), ("level_latency", 1)], "fanout=2 level_latency=1"),
+        (
+            "streamer",
+            {},
+            [("pes", 4), ("fanout", 4), ("level_latency", 1), ("port_width", 4)],
+            "pes=4 fanout=4 level_latency=1 port_width=4",
+        ),
+        (
+            "streamer",
+            {"fanout": 3, "level_latency": 2},
+            [("pes", 4), ("fanout", 3), ("level_latency", 2), ("port_width", 3)],
+            "pes=4 fanout=3 level_latency=2 port_width=3",
+        ),
+        (
+            "summa",
+            {},
+            [
+                ("p_rows", 2),
+                ("p_cols", 2),
+                ("alpha", 1e-6),
+                ("beta", 1e-9),
+                ("node_mac_rate", 1e9),
+                ("element_bytes", 4),
+            ],
+            "p_rows=2 p_cols=2 alpha=1e-06 beta=1e-09 node_mac_rate=1000000000.0 element_bytes=4",
+        ),
+    ],
+)
+def test_arch_defaults_and_key_order(arch_type, extra, items, arch_params):
+    payload = minimal_simulate(arch_type)
+    payload["arch"].update(extra)
+    resolved = resolve_config(payload)
+    assert list(resolved["arch"].items()) == [("type", arch_type)] + items
+    assert run_experiment(resolved)[0]["arch_params"] == arch_params

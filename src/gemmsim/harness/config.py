@@ -218,7 +218,7 @@ def resolve_arch(raw: Any, workload: dict) -> dict:
         raise ConfigError(f"arch type must be one of {tuple(ARCHS)}, got {arch_type!r}")
     spec = ARCHS[arch_type]
     if workload["kind"] != spec.workload:
-        raise ConfigError(f"arch '{arch_type}' requires a {spec.workload} workload")
+        raise ConfigError(f"arch '{arch_type}' requires workload kind '{spec.workload}'")
 
     out: dict[str, Any] = {"type": arch_type}
     for key, default, minimum, convert in spec.keys:

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .bounds import fisher_bound, inner_product_bound_input
 from .results import SimResult, build_result
 from .workload import Matrix, resolve_vector_operands
@@ -83,23 +85,11 @@ def simulate_chain_reduction(
     a, b = resolve_vector_operands(n, operands, seed)
     h = cfg.hop_latency
 
-    trace: list[int] = []
-    cycle = 0
-    acc = 0
-    hops = 0
-    for i in range(n):
-        if i > 0:
-            cycle += h  # partial sum hops to the next PE
-            hops += 1
-            if with_trace:
-                trace.extend([0] * h)
-        acc = a[i] * b[i] + acc
-        cycle += 1
-        if with_trace:
-            trace.append(1)
-    cycle += h  # scalar exits into memory on the far side
-    if with_trace:
-        trace.extend([0] * h)
+    # n MAC clocks, a hop between consecutive PEs, and the exit hop.
+    acc = int(np.dot(a, b))
+    hops = n - 1
+    cycle = n * (1 + h)
+    trace = tuple(([1] + [0] * h) * n) if with_trace else None
 
     transfers = {"pe_to_pe": hops, "pe_to_mem": 1}
     phases = {"reduce": cycle - h, "drain": h}
@@ -110,7 +100,7 @@ def simulate_chain_reduction(
         cfg.num_pes,
         phases=phases,
         transfer_counts=transfers,
-        activity_trace=tuple(trace) if with_trace else None,
+        activity_trace=trace,
     )
 
 
@@ -141,37 +131,30 @@ def simulate_grid_reduction(
     a, b = resolve_vector_operands(n, operands, seed)
     h = cfg.hop_latency
 
-    # Row-major occupancy: full rows of `cols` pairs, one possibly partial row.
-    row_lengths = [min(cols, n - r * cols) for r in range(rows) if n - r * cols > 0]
-    occupied_rows = len(row_lengths)
-    max_len = max(row_lengths)
+    # Row-major occupancy: full rows of `cols` pairs, the last possibly partial.
+    occupied_rows = -(-n // cols)
+    max_len = min(cols, n)
+    last_len = n - (occupied_rows - 1) * cols
 
-    row_sums = []
-    pos = 0
-    for length in row_lengths:
-        s = 0
-        for i in range(pos, pos + length):
-            s = a[i] * b[i] + s
-        row_sums.append(s)
-        pos += length
-    total = 0
-    for s in row_sums:
-        total += s
+    products = np.zeros(occupied_rows * cols, dtype=np.int64)
+    np.multiply(a, b, out=products[:n])
+    row_sums = products.reshape(occupied_rows, cols).sum(axis=1)
+    total = int(row_sums.sum())
 
     stage = h + 1  # hop + MAC clock per reduction stage
     row_phase = 1 + (max_len - 1) * stage  # first MAC clock, then stages
     col_phase = (occupied_rows - 1) * stage
     cycles = row_phase + col_phase + h
 
-    hops = sum(length - 1 for length in row_lengths) + (occupied_rows - 1)
+    # Rows hop n - occupied_rows times in all, then the column occupied_rows - 1.
+    hops = n - 1
     mac_ops = n + (occupied_rows - 1)  # column combines occupy MAC units too
 
     trace: tuple[int, ...] | None = None
     if with_trace:
         t = [0] * cycles
-        for r, length in enumerate(row_lengths):
-            for j in range(length):
-                t[j * stage] += 1  # MAC clock of stage j in row r
+        for j in range(max_len):
+            t[j * stage] = occupied_rows - (j >= last_len)  # rows MACing at stage j
         for step in range(1, occupied_rows):
             t[row_phase + step * stage - 1] += 1
         trace = tuple(t)

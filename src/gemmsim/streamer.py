@@ -201,14 +201,15 @@ def simulate_tree_inner_product(
     levels = tree_time(n, fanout)
     cycles = 1 + levels * level_latency
 
-    values = [x * y for x, y in zip(a, b)]
+    values = a * b
     transfers = {"pe_to_pe": 0}
     if levels == 0:
         transfers["pe_to_mem"] = 1
     for level in range(levels):
         key = "pe_to_ce" if level == 0 else "ce_to_ce"
         transfers[key] = transfers.get(key, 0) + len(values)
-        values = [sum(values[i : i + fanout]) for i in range(0, len(values), fanout)]
+        # Each CE sums one group of `fanout`; the last group is zero-padded.
+        values = np.pad(values, (0, -len(values) % fanout)).reshape(-1, fanout).sum(axis=1)
     if levels > 0:
         transfers["ce_to_mem"] = 1
 
@@ -219,7 +220,7 @@ def simulate_tree_inner_product(
     phases = {"multiply": 1, "reduce": levels * level_latency}
     return build_result(
         cycles,
-        Matrix(1, 1, (values[0],)),
+        Matrix(1, 1, values),
         n,
         n,
         phases=phases,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -144,17 +143,21 @@ def require_operand_range(*matrices: Matrix) -> None:
 
 def resolve_vector_operands(
     n: int, operands: tuple[Sequence[int], Sequence[int]] | None, seed: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Explicit operand vectors, range-checked, or generated ones."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit operand vectors, type- and range-checked, or generated ones.
+
+    Either way the vectors are read-only int64 arrays of length n.
+    """
     if n < 1:
         raise ValueError(f"inner product length must be >= 1, got {n}")
     if operands is None:
         return make_vectors(n, seed)
-    a, b = (tuple(int(x) for x in v) for v in operands)
-    if len(a) != n or len(b) != n:
+    if any(len(v) != n for v in operands):
         raise ValueError(f"operand vectors must have length {n}")
-    require_operand_range(Matrix(2, n, a + b))
-    return a, b
+    # Matrix rejects floats, bools and values outside int64.
+    a, b = (Matrix(1, n, v) for v in operands)
+    require_operand_range(a, b)
+    return a.data, b.data
 
 
 @dataclass(frozen=True)
@@ -170,24 +173,27 @@ class OuterProductStep:
         return self.col_block.cols
 
 
-def _draw_operands(rng: random.Random, count: int) -> list[int]:
-    """``[rng.randint(OPERAND_MIN, OPERAND_MAX) for _ in range(count)]``, faster.
+def _draw_operands(rng: random.Random, count: int) -> np.ndarray:
+    """``[rng.randint(OPERAND_MIN, OPERAND_MAX) for _ in range(count)]`` as int64.
 
-    ``randint`` draws ``getrandbits(9)`` and rejects values >= 256, so doing
-    that directly yields the same values and leaves ``rng`` in the same state.
-    Each round draws only as many values as are still missing, so no draw is
-    made past the last accepted one.
+    ``randint`` keeps the top 9 bits of one 32-bit Mersenne Twister word and
+    rejects values >= 256.  ``getrandbits(32 * w)`` returns the next w words
+    little-endian, so filtering those words in numpy yields the same values
+    and leaves ``rng`` in the same state.  Each round draws only as many
+    words as values are still missing, so no word is drawn past the last
+    accepted one.
     """
     width = OPERAND_MAX - OPERAND_MIN + 1
-    bits = rng.getrandbits
-    out: list[int] = []
-    while len(out) < count:
-        out += [
-            x + OPERAND_MIN
-            for x in map(bits, repeat(width.bit_length(), count - len(out)))
-            if x < width
-        ]
-    return out
+    shift = 32 - width.bit_length()
+    parts = [np.empty(0, dtype=np.uint32)]
+    missing = count
+    while missing:
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        candidates = np.frombuffer(words, "<u4") >> shift
+        accepted = candidates[candidates < width]
+        parts.append(accepted)
+        missing -= len(accepted)
+    return np.concatenate(parts).astype(np.int64) + OPERAND_MIN
 
 
 def make_gemm(shape: GemmShape, seed: int) -> tuple[Matrix, Matrix]:
@@ -199,20 +205,21 @@ def make_gemm(shape: GemmShape, seed: int) -> tuple[Matrix, Matrix]:
     reproducibility contract; traces regenerated from the same (shape, seed)
     are bitwise identical.
     """
-    rng = random.Random(seed)
-    a = _draw_operands(rng, shape.m * shape.k)
-    b = _draw_operands(rng, shape.k * shape.n)
-    return Matrix(shape.m, shape.k, a), Matrix(shape.k, shape.n, b)
+    split = shape.m * shape.k
+    ops = _draw_operands(random.Random(seed), split + shape.k * shape.n)
+    return Matrix(shape.m, shape.k, ops[:split]), Matrix(shape.k, shape.n, ops[split:])
 
 
-def make_vectors(n: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reproducible operand vectors for the inner-product simulators."""
+def make_vectors(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reproducible operand vectors for the inner-product simulators.
+
+    Returns two read-only int64 views of one draw of 2n values: a, then b.
+    """
     if n < 1:
         raise ValueError(f"vector length must be >= 1, got {n}")
-    rng = random.Random(seed)
-    a = tuple(_draw_operands(rng, n))
-    b = tuple(_draw_operands(rng, n))
-    return a, b
+    ops = _draw_operands(random.Random(seed), 2 * n)
+    ops.flags.writeable = False
+    return ops[:n], ops[n:]
 
 
 def reference_matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -136,6 +136,28 @@ def test_workload_arch_mismatch(tmp_path):
         resolve_config(payload)
 
 
+@pytest.mark.parametrize(
+    "workload, arch, message",
+    [
+        (
+            {"kind": "inner_product", "n": 64},
+            {"type": "systolic", "rows": 4, "cols": 4},
+            "arch 'systolic' requires workload kind 'gemm'",
+        ),
+        (
+            {"m": 4, "n": 4, "k": 4},
+            {"type": "chain"},
+            "arch 'chain' requires workload kind 'inner_product'",
+        ),
+    ],
+)
+def test_workload_arch_mismatch_message(tmp_path, capsys, workload, arch, message):
+    payload = {"schema_version": 1, "kind": "simulate", "workload": workload, "arch": arch}
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["run", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_darksilicon_sweep(tmp_path):
     payload = {
         "schema_version": 1,

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from gemmsim import (
@@ -59,6 +60,39 @@ def test_explicit_operands_out_of_range_rejected():
         simulate_chain_reduction(2, operands=((1, 2), (128, 3)))
     with pytest.raises(ValueError, match="operand element -129 outside"):
         simulate_grid_reduction(2, operands=((-129, 2), (1, 3)))
+
+
+INNER_PRODUCTS = (simulate_chain_reduction, simulate_grid_reduction, simulate_tree_inner_product)
+
+
+@pytest.mark.parametrize("simulate", INNER_PRODUCTS)
+@pytest.mark.parametrize(
+    "operands",
+    [
+        ((1.5, 1), (1, 1)),
+        ((1, 1), (1, 2.0)),
+        ((True, 1), (1, 1)),
+        ((1, 1), (1, np.True_)),
+        ((10**30, 1), (1, 1)),
+        (np.array([1.5, 1.0]), np.array([1.0, 1.0])),
+        (np.array([True, False]), np.array([1, 1])),
+    ],
+)
+def test_explicit_operands_must_be_integers(simulate, operands):
+    """Floats, bools and huge ints are rejected, never truncated or coerced."""
+    with pytest.raises(ValueError, match="integers"):
+        simulate(2, operands=operands)
+
+
+@pytest.mark.parametrize("simulate", INNER_PRODUCTS)
+def test_explicit_numpy_operands_are_accepted(simulate):
+    a = np.array([3, -2, 5], dtype=np.int8)
+    b = np.array([7, 4, -1])
+    res = simulate(3, operands=(a, b))
+    assert res.scalar == 3 * 7 - 2 * 4 - 5
+    assert simulate(3, operands=(a, (7, 4, -1))) == res
+    with pytest.raises(ValueError, match="operand element 128 outside"):
+        simulate(3, operands=(a, np.array([1, 128, 1])))
 
 
 def test_chain_exactness_random():

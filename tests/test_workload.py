@@ -134,14 +134,54 @@ def test_make_gemm_operand_range():
 def test_operand_draws_match_randint(seed):
     expected_rng, rng = random.Random(seed), random.Random(seed)
     for count in (0, 1, 3, 1000):
-        assert _draw_operands(rng, count) == [expected_rng.randint(-128, 127) for _ in range(count)]
+        drawn = _draw_operands(rng, count)
+        assert drawn.tolist() == [expected_rng.randint(-128, 127) for _ in range(count)]
         # The generator must be left where randint leaves it.
         assert rng.random() == expected_rng.random()
 
 
+def randint_draws(rng, count):
+    return [rng.randint(-128, 127) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [3, 2**40 + 1])
+def test_multi_round_draw_matches_randint(seed):
+    # About half the words are rejected, so 100 000 values take ~17 rounds.
+    expected_rng, rng = random.Random(seed), random.Random(seed)
+    drawn = _draw_operands(rng, 100_000)
+    assert drawn.dtype == np.int64
+    assert drawn.tolist() == randint_draws(expected_rng, 100_000)
+    assert rng.getstate() == expected_rng.getstate()
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (3, 5, 2), (17, 4, 9), (64, 64, 64)])
+@pytest.mark.parametrize("seed", [0, 11, 2**33])
+def test_make_gemm_matches_randint_construction(dims, seed):
+    m, n, k = dims
+    rng = random.Random(seed)
+    want_a = [randint_draws(rng, k) for _ in range(m)]
+    want_b = [randint_draws(rng, n) for _ in range(k)]
+    a, b = make_gemm(GemmShape(m, n, k), seed)
+    assert a.to_rows() == want_a
+    assert b.to_rows() == want_b
+
+
+@pytest.mark.parametrize("n", [1, 2, 999, 50_000])
+@pytest.mark.parametrize("seed", [0, 11, 2**33])
+def test_make_vectors_matches_randint_construction(n, seed):
+    rng = random.Random(seed)
+    want_a = randint_draws(rng, n)
+    want_b = randint_draws(rng, n)
+    a, b = make_vectors(n, seed)
+    assert a.tolist() == want_a
+    assert b.tolist() == want_b
+    for v in (a, b):
+        assert v.dtype == np.int64 and not v.flags.writeable
+
+
 def test_make_vectors():
-    assert make_vectors(5, 1) == make_vectors(5, 1)
-    assert make_vectors(5, 1) != make_vectors(5, 2)
+    assert [v.tolist() for v in make_vectors(5, 1)] == [v.tolist() for v in make_vectors(5, 1)]
+    assert [v.tolist() for v in make_vectors(5, 1)] != [v.tolist() for v in make_vectors(5, 2)]
     with pytest.raises(ValueError):
         make_vectors(0, 1)
 

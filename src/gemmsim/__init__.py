@@ -13,7 +13,6 @@ from .bounds import (
     CommModel,
     DarkSiliconPoint,
     MeshBoundInput,
-    ceil_log2,
     collective_cost,
     dark_silicon,
     fisher_bound,
@@ -76,7 +75,6 @@ __all__ = [
     "SystolicConfig",
     "WeakScalingPoint",
     "build_ce_tree",
-    "ceil_log2",
     "collective_cost",
     "dark_silicon",
     "empirical_bound_ratio",

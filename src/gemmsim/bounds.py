@@ -116,10 +116,6 @@ def dark_silicon(generation: int) -> DarkSiliconPoint:
     return DarkSiliconPoint(cores, powered, cores * powered)
 
 
-def ceil_log2(p: int) -> int:
-    return tree_time(p, 2)
-
-
 def collective_cost(kind: CollectiveKind, p: int, nbytes: int, model: CommModel) -> float:
     """Seconds to run one collective among p participants.
 

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .. import __version__
-from .config import ConfigError, load_config, resolve_config
+from .config import KINDS, ConfigError, load_config, resolve_config
 from .experiments import run_experiment, validation_failed
 from .report import write_report
 from .validation import run_validation
@@ -28,26 +28,22 @@ def _err(message: str) -> None:
 def _execute(config_path: str, require_sweep: bool) -> int:
     try:
         resolved = resolve_config(load_config(config_path))
-        if require_sweep and resolved["kind"] not in ("sweep", "darksilicon"):
-            raise ConfigError(
-                f"the sweep command needs kind 'sweep' or 'darksilicon', got '{resolved['kind']}'"
-            )
+        if require_sweep and not KINDS[resolved["kind"]].sweepable:
+            accepted = " or ".join(f"'{kind}'" for kind, spec in KINDS.items() if spec.sweepable)
+            raise ConfigError(f"the sweep command needs kind {accepted}, got '{resolved['kind']}'")
     except ConfigError as exc:
         _err(f"config error: {exc}")
         return EXIT_CONFIG
 
     try:
         rows = run_experiment(resolved)
-    except ConfigError as exc:
-        _err(f"config error: {exc}")
-        return EXIT_CONFIG
     except (ValueError, OverflowError) as exc:
         _err(f"simulation input rejected: {exc}")
         return EXIT_SIM_INPUT
 
     csv_path, sidecar_path = write_report(resolved, rows, __version__)
     _err(f"wrote {csv_path} and {sidecar_path} ({len(rows)} rows)")
-    if resolved["kind"] == "validate" and validation_failed(rows):
+    if validation_failed(rows):
         _err("validation: FAIL")
         return EXIT_VALIDATION
     return EXIT_OK

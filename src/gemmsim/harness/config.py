@@ -3,11 +3,15 @@
 A config is one JSON document.  Resolution fills in every default the
 harness would apply and returns a fully explicit dict, which is echoed into
 the report sidecar so any report can be re-run from its own metadata.
+
+Each machine is one entry of ARCHS and each experiment kind one entry of
+KINDS; resolution and report rows both read those two tables.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import os
 import sys
@@ -16,13 +20,14 @@ from typing import Any, Callable, NamedTuple
 
 from .. import bounds, meshflow, streamer, summa, systolic
 from .. import workload as workload_mod
+from . import validation
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "GEMMSIM_OUTPUT_DIR"
 
-KINDS = ("simulate", "sweep", "compare", "bounds", "darksilicon", "validate")
 REQUIRED = object()  # default of an arch key that every spec of its type must give
 WORKLOAD_KEYS = {"kind", "m", "n", "k", "seed", "block_width"}
+BOUNDS_KEYS = ("inputs", "outputs", "computations", "dimension")
 
 
 class ConfigError(Exception):
@@ -67,6 +72,13 @@ def _as_number(value: Any, key: str, minimum: float | None = None) -> float:
     return float(value)
 
 
+def _nonempty_list(raw: dict, key: str) -> list:
+    value = _require(raw, key, "config")
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"key '{key}' must be a non-empty list")
+    return value
+
+
 def _check_known_keys(cfg: dict, allowed: set[str], where: str) -> None:
     unknown = set(cfg) - allowed
     if unknown:
@@ -105,6 +117,226 @@ def _as_positive(value: Any, key: str, minimum: None = None) -> float:
     if value <= 0:
         raise ConfigError(f"key '{key}' must be positive")
     return value
+
+
+def resolve_arch(raw: Any, workload: dict) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError("arch spec must be an object")
+    _check_known_keys(raw, ARCH_KEYS, "arch")
+    arch_type = _require(raw, "type", "arch")
+    if not isinstance(arch_type, str) or arch_type not in ARCHS:
+        raise ConfigError(f"arch type must be one of {tuple(ARCHS)}, got {arch_type!r}")
+    spec = ARCHS[arch_type]
+    if workload["kind"] != spec.workload:
+        raise ConfigError(f"arch '{arch_type}' requires workload kind '{spec.workload}'")
+
+    out: dict[str, Any] = {"type": arch_type}
+    for key, default, minimum, convert in spec.keys:
+        if callable(default):
+            default = default(workload, out)
+        value = _require(raw, key, "arch") if default is REQUIRED else raw.get(key, default)
+        out[key] = convert(value, key, minimum)
+    return out
+
+
+def _resolve_output(raw: Any) -> dict:
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError("key 'output' must be an object")
+    _check_known_keys(raw, {"dir", "basename"}, "output")
+    out_dir = raw.get("dir", ".")
+    if not isinstance(out_dir, str):
+        raise ConfigError("key 'dir' must be a string")
+    basename = raw.get("basename", "report")
+    if not isinstance(basename, str) or not basename:
+        raise ConfigError("key 'basename' must be a non-empty string")
+    env_dir = os.environ.get(OUTPUT_DIR_ENV)
+    if env_dir:
+        out_dir = env_dir
+    return {"dir": out_dir, "basename": basename}
+
+
+def _resolve_grid(raw: Any) -> dict:
+    if not isinstance(raw, dict) or not raw:
+        raise ConfigError("sweep requires a non-empty 'grid' object")
+    for key, values in raw.items():
+        section, _, field = key.partition(".")
+        if section not in ("workload", "arch") or not field:
+            raise ConfigError(f"grid key '{key}' must look like 'workload.<field>' or 'arch.<field>'")
+        allowed = WORKLOAD_KEYS if section == "workload" else ARCH_KEYS
+        if field not in allowed:
+            raise ConfigError(f"grid key '{key}' names an unknown {section} field")
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid key '{key}' must map to a non-empty list")
+    return raw
+
+
+def _sweep_points(resolved: dict) -> list[tuple[dict, dict]]:
+    """Resolve every point of a sweep grid to a (workload, arch) pair.
+
+    Points follow the declared grid order: axes iterate in key order with the
+    last axis fastest, which fixes the report row order.
+    """
+    grid = resolved["grid"]
+    points = []
+    for combo in itertools.product(*grid.values()):
+        point = copy.deepcopy({"workload": resolved["workload"], "arch": resolved["arch"]})
+        for key, value in zip(grid, combo):
+            section, _, field = key.partition(".")
+            if isinstance(point[section], dict):  # otherwise its resolver rejects it below
+                point[section][field] = value
+        workload = resolve_workload(point["workload"])
+        points.append((workload, resolve_arch(point["arch"], workload)))
+    return points
+
+
+def _resolve_simulate(raw: dict) -> dict:
+    workload = resolve_workload(_require(raw, "workload", "config"))
+    return {"workload": workload, "arch": resolve_arch(_require(raw, "arch", "config"), workload)}
+
+
+def _resolve_compare(raw: dict) -> dict:
+    workload = resolve_workload(_require(raw, "workload", "config"))
+    archs = _nonempty_list(raw, "archs")
+    return {"workload": workload, "archs": [resolve_arch(a, workload) for a in archs]}
+
+
+def _resolve_sweep(raw: dict) -> dict:
+    resolved = {
+        "workload": _require(raw, "workload", "config"),
+        "arch": _require(raw, "arch", "config"),
+        "grid": _resolve_grid(_require(raw, "grid", "config")),
+    }
+    # Every point is resolved again when the sweep runs; resolving them now
+    # makes a broken point fail before any simulation starts.
+    _sweep_points(resolved)
+    return resolved
+
+
+def _resolve_bounds(raw: dict) -> dict:
+    entries = []
+    for entry in _nonempty_list(raw, "entries"):
+        if not isinstance(entry, dict):
+            raise ConfigError("each bounds entry must be an object")
+        _check_known_keys(entry, set(BOUNDS_KEYS), "bounds entry")
+        out = {key: _as_int(_require(entry, key, "bounds entry"), key, 1) for key in BOUNDS_KEYS}
+        if out["dimension"] > 3:
+            raise ConfigError(f"key 'dimension' must be 1, 2 or 3, got {entry['dimension']}")
+        entries.append(out)
+    return {"entries": entries}
+
+
+def _resolve_darksilicon(raw: dict) -> dict:
+    generations = _nonempty_list(raw, "generations")
+    return {"generations": [_as_int(g, "generations", 0) for g in generations]}
+
+
+def _resolve_validate(raw: dict) -> dict:
+    return {
+        "seed": _as_int(raw.get("seed", 0), "seed"),
+        "corpus_size": _as_int(raw.get("corpus_size", 200), "corpus_size", 1),
+    }
+
+
+def _params(spec: dict) -> str:
+    return " ".join(f"{key}={value}" for key, value in spec.items() if key != "type")
+
+
+def _phase_columns(res) -> dict[str, int]:
+    """Map a simulator's phase breakdown onto the stable report columns."""
+    out: dict[str, int] = {}
+    if not res.phases:
+        return out
+    named = {"load": "load_cycles", "fill": "fill_cycles", "drain": "drain_cycles"}
+    stream = 0
+    for phase, cyc in res.phases.items():
+        if phase in named:
+            out[named[phase]] = cyc
+        else:
+            stream += cyc
+    if stream:
+        out["stream_cycles"] = stream
+    return out
+
+
+def _base_row(kind: str, arch_name: str, arch_params: str, workload_name: str) -> dict[str, Any]:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "experiment": kind,
+        "architecture": arch_name,
+        "arch_params": arch_params,
+        "workload": workload_name,
+    }
+
+
+def _point_row(kind: str, arch: dict, workload: dict) -> dict[str, Any]:
+    spec = ARCHS[arch["type"]]
+    row = _base_row(kind, arch["type"], _params(arch), workload["kind"])
+    if workload["kind"] == "gemm":
+        row.update((key, workload[key]) for key in ("m", "n", "k", "seed", "block_width"))
+    else:
+        row.update(vector_n=workload["n"], seed=workload["seed"])
+
+    res = spec.run(arch, workload)
+    if isinstance(res, summa.SummaResult):
+        # SUMMA is costed in seconds: each field is a column, *_time as *_seconds.
+        row.update({name.replace("_time", "_seconds"): value for name, value in vars(res).items()})
+        return row
+    row.update(
+        cycles=res.cycles,
+        mac_ops=res.mac_ops_issued,
+        num_units=res.num_units,
+        utilization=res.utilization,
+        steady_state_utilization=res.steady_state_utilization,
+        **_phase_columns(res),
+    )
+    if spec.mesh_dimension:
+        problem = bounds.inner_product_bound_input(workload["n"], spec.mesh_dimension)
+        bound = bounds.fisher_bound(problem)
+        row.update(bound_value=bound, bound_ratio=res.cycles / bound)
+    return row
+
+
+def _point_rows(points: Callable[[dict], list[tuple[dict, dict]]]) -> Callable[[dict], list]:
+    """Row producer of a kind that runs a list of (workload, arch) points."""
+    return lambda resolved: [
+        _point_row(resolved["kind"], arch, workload) for workload, arch in points(resolved)
+    ]
+
+
+def _bounds_rows(resolved: dict) -> list[dict[str, Any]]:
+    rows = []
+    for entry in resolved["entries"]:
+        row = _base_row(resolved["kind"], "fisher_bound", _params(entry), "")
+        row["bound_value"] = bounds.fisher_bound(bounds.MeshBoundInput(**entry))
+        rows.append(row)
+    return rows
+
+
+def _darksilicon_rows(resolved: dict) -> list[dict[str, Any]]:
+    rows = []
+    for generation in resolved["generations"]:
+        point = bounds.dark_silicon(generation)
+        row = _base_row(resolved["kind"], "dark_silicon", "", "")
+        row.update(
+            generation=generation,
+            core_multiplier=point.core_multiplier,
+            powered_fraction=point.powered_fraction,
+            effective_multiplier=point.effective_multiplier,
+        )
+        rows.append(row)
+    return rows
+
+
+def _validate_rows(resolved: dict) -> list[dict[str, Any]]:
+    report = validation.run_validation(resolved["seed"], resolved["corpus_size"])
+    rows = []
+    for prop in report.properties:
+        row = _base_row(resolved["kind"], prop.name, "", "")
+        row.update(checks=prop.checks, failures=len(prop.failures))
+        rows.append(row)
+    return rows
 
 
 class Arch(NamedTuple):
@@ -209,61 +441,41 @@ ARCHS = {
 ARCH_KEYS = {"type"} | {key[0] for arch in ARCHS.values() for key in arch.keys}
 
 
-def resolve_arch(raw: Any, workload: dict) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("arch spec must be an object")
-    _check_known_keys(raw, ARCH_KEYS, "arch")
-    arch_type = _require(raw, "type", "arch")
-    if not isinstance(arch_type, str) or arch_type not in ARCHS:
-        raise ConfigError(f"arch type must be one of {tuple(ARCHS)}, got {arch_type!r}")
-    spec = ARCHS[arch_type]
-    if workload["kind"] != spec.workload:
-        raise ConfigError(f"arch '{arch_type}' requires workload kind '{spec.workload}'")
+class Kind(NamedTuple):
+    """One experiment kind: its top-level keys, resolver and row producer.
 
-    out: dict[str, Any] = {"type": arch_type}
-    for key, default, minimum, convert in spec.keys:
-        if callable(default):
-            default = default(workload, out)
-        value = _require(raw, key, "arch") if default is REQUIRED else raw.get(key, default)
-        out[key] = convert(value, key, minimum)
-    return out
+    resolve maps the raw config to the kind's resolved keys; rows maps the
+    resolved config to report rows in deterministic order.  sweepable marks
+    the kinds `gemmsim sweep` accepts.
+    """
+
+    keys: tuple[str, ...]
+    resolve: Callable[[dict], dict]
+    rows: Callable[[dict], list[dict[str, Any]]]
+    sweepable: bool = False
 
 
-def _resolve_output(raw: Any) -> dict:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("key 'output' must be an object")
-    _check_known_keys(raw, {"dir", "basename"}, "output")
-    out_dir = raw.get("dir", ".")
-    if not isinstance(out_dir, str):
-        raise ConfigError("key 'dir' must be a string")
-    basename = raw.get("basename", "report")
-    if not isinstance(basename, str) or not basename:
-        raise ConfigError("key 'basename' must be a non-empty string")
-    env_dir = os.environ.get(OUTPUT_DIR_ENV)
-    if env_dir:
-        out_dir = env_dir
-    return {"dir": out_dir, "basename": basename}
-
-
-def _resolve_grid(raw: Any, base: dict) -> dict:
-    if not isinstance(raw, dict) or not raw:
-        raise ConfigError("sweep requires a non-empty 'grid' object")
-    grid: dict[str, list] = {}
-    for key, values in raw.items():
-        section, _, field = key.partition(".")
-        if section not in ("workload", "arch") or not field:
-            raise ConfigError(f"grid key '{key}' must look like 'workload.<field>' or 'arch.<field>'")
-        allowed = WORKLOAD_KEYS if section == "workload" else ARCH_KEYS
-        if field not in allowed:
-            raise ConfigError(f"grid key '{key}' names an unknown {section} field")
-        if section not in base:
-            raise ConfigError(f"grid key '{key}' but config has no '{section}' section")
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"grid key '{key}' must map to a non-empty list")
-        grid[key] = list(values)
-    return grid
+KINDS = {
+    "simulate": Kind(
+        ("workload", "arch"),
+        _resolve_simulate,
+        _point_rows(lambda resolved: [(resolved["workload"], resolved["arch"])]),
+    ),
+    "sweep": Kind(
+        ("workload", "arch", "grid"),
+        _resolve_sweep,
+        _point_rows(_sweep_points),
+        sweepable=True,
+    ),
+    "compare": Kind(
+        ("workload", "archs"),
+        _resolve_compare,
+        _point_rows(lambda resolved: [(resolved["workload"], a) for a in resolved["archs"]]),
+    ),
+    "bounds": Kind(("entries",), _resolve_bounds, _bounds_rows),
+    "darksilicon": Kind(("generations",), _resolve_darksilicon, _darksilicon_rows, sweepable=True),
+    "validate": Kind(("seed", "corpus_size"), _resolve_validate, _validate_rows),
+}
 
 
 def resolve_config(raw: dict) -> dict:
@@ -273,103 +485,15 @@ def resolve_config(raw: dict) -> dict:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}; this build expects {SCHEMA_VERSION}")
     kind = _require(raw, "kind", "config")
-    if kind not in KINDS:
-        raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ConfigError(f"kind must be one of {tuple(KINDS)}, got {kind!r}")
 
-    resolved: dict[str, Any] = {
+    spec = KINDS[kind]
+    resolved = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "output": _resolve_output(raw.get("output")),
+        **spec.resolve(raw),
     }
-    top_allowed = {"schema_version", "kind", "output"}
-
-    if kind == "simulate":
-        top_allowed |= {"workload", "arch"}
-        workload = resolve_workload(_require(raw, "workload", "config"))
-        resolved["workload"] = workload
-        resolved["arch"] = resolve_arch(_require(raw, "arch", "config"), workload)
-    elif kind == "compare":
-        top_allowed |= {"workload", "archs"}
-        workload = resolve_workload(_require(raw, "workload", "config"))
-        resolved["workload"] = workload
-        archs = _require(raw, "archs", "config")
-        if not isinstance(archs, list) or not archs:
-            raise ConfigError("key 'archs' must be a non-empty list")
-        resolved["archs"] = [resolve_arch(a, workload) for a in archs]
-    elif kind == "sweep":
-        top_allowed |= {"workload", "arch", "grid"}
-        base = {
-            "workload": _require(raw, "workload", "config"),
-            "arch": _require(raw, "arch", "config"),
-        }
-        grid = _resolve_grid(_require(raw, "grid", "config"), base)
-        resolved["workload"] = base["workload"]
-        resolved["arch"] = base["arch"]
-        resolved["grid"] = grid
-        # Every sweep point is validated on expansion; check the base now so
-        # an entirely broken config fails before any simulation starts.
-        for point in iter_sweep_points(resolved):
-            pass
-    elif kind == "bounds":
-        top_allowed |= {"entries"}
-        entries = _require(raw, "entries", "config")
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError("key 'entries' must be a non-empty list")
-        resolved_entries = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise ConfigError("each bounds entry must be an object")
-            _check_known_keys(entry, {"inputs", "outputs", "computations", "dimension"}, "bounds entry")
-            resolved_entry = {
-                "inputs": _as_int(_require(entry, "inputs", "bounds entry"), "inputs", 1),
-                "outputs": _as_int(_require(entry, "outputs", "bounds entry"), "outputs", 1),
-                "computations": _as_int(
-                    _require(entry, "computations", "bounds entry"), "computations", 1
-                ),
-                "dimension": _as_int(_require(entry, "dimension", "bounds entry"), "dimension", 1),
-            }
-            if resolved_entry["dimension"] > 3:
-                raise ConfigError(f"key 'dimension' must be 1, 2 or 3, got {entry['dimension']}")
-            resolved_entries.append(resolved_entry)
-        resolved["entries"] = resolved_entries
-    elif kind == "darksilicon":
-        top_allowed |= {"generations"}
-        generations = _require(raw, "generations", "config")
-        if not isinstance(generations, list) or not generations:
-            raise ConfigError("key 'generations' must be a non-empty list")
-        resolved["generations"] = [_as_int(g, "generations", 0) for g in generations]
-    elif kind == "validate":
-        top_allowed |= {"seed", "corpus_size"}
-        resolved["seed"] = _as_int(raw.get("seed", 0), "seed")
-        resolved["corpus_size"] = _as_int(raw.get("corpus_size", 200), "corpus_size", 1)
-
-    _check_known_keys(raw, top_allowed, "config")
+    _check_known_keys(raw, {"schema_version", "kind", "output", *spec.keys}, "config")
     return resolved
-
-
-def _set_path(cfg: dict, dotted: str, value: Any) -> None:
-    section, _, field = dotted.partition(".")
-    cfg[section][field] = value
-
-
-def iter_sweep_points(resolved: dict):
-    """Expand a sweep config into fully resolved (point_config, axis_values) pairs.
-
-    Points follow the declared grid order: axes iterate in key order with the
-    last axis fastest, which fixes the report row order no matter how points
-    are executed.
-    """
-    import itertools
-
-    grid = resolved["grid"]
-    axes = list(grid.items())
-    for combo in itertools.product(*(values for _, values in axes)):
-        point = {
-            "workload": copy.deepcopy(resolved["workload"]),
-            "arch": copy.deepcopy(resolved["arch"]),
-        }
-        for (key, _), value in zip(axes, combo):
-            _set_path(point, key, value)
-        workload = resolve_workload(point["workload"])
-        arch = resolve_arch(point["arch"], workload)
-        yield {"workload": workload, "arch": arch}, dict(zip((k for k, _ in axes), combo))

@@ -12,7 +12,6 @@ drain are paid once per GEMM, not once per step.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,10 +60,6 @@ class CETree:
             raise ValueError(
                 f"levels={self.levels} inconsistent with {self.num_pes} PEs at fanout {self.fanout}"
             )
-
-    @property
-    def leaf_slots(self) -> int:
-        return self.fanout**self.levels
 
 
 def build_ce_tree(
@@ -124,17 +119,6 @@ class PEAssignment:
     @property
     def max_outputs(self) -> int:
         return max(self.starts[q + 1] - self.starts[q] for q in range(self.num_pes))
-
-    def accumulators(self, pe: int) -> int:
-        return self.starts[pe + 1] - self.starts[pe]
-
-    def owner_of(self, i: int, j: int) -> int:
-        return bisect_right(self.starts, i * self.out_cols + j) - 1
-
-    def outputs_of(self, pe: int) -> list[tuple[int, int]]:
-        return [
-            divmod(lin, self.out_cols) for lin in range(self.starts[pe], self.starts[pe + 1])
-        ]
 
 
 def _cs_transfer_counts(tree: CETree, assign: PEAssignment, k: int) -> dict[str, int]:
@@ -257,19 +241,12 @@ def simulate_cs_gemm(
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
     require_operand_range(a, b)
     m, k, n = a.rows, a.cols, b.cols
-    num_pes = tree.num_pes
-    if num_pes > m * n:
-        raise ValueError(
-            f"{num_pes} PEs over an {m}x{n} output: every PE must own at least one output"
-        )
-
     if block_width < 1:
         raise ValueError(f"block width must be >= 1, got {block_width}")
-    assign = PEAssignment.balanced(m, n, num_pes)
+    assign = PEAssignment.balanced(m, n, tree.num_pes)
     steps = outer_product_schedule(a, b, min(block_width, k))
     owned_max = assign.max_outputs
     width = tree.root_port_width
-    lat = tree.levels * tree.level_latency
 
     c_acc = np.zeros((m, n), dtype=np.int64)
     stream_cycles = 0
@@ -283,8 +260,9 @@ def simulate_cs_gemm(
         stream_cycles += span
         c_acc += step.col_block.to_numpy() @ step.row_block.to_numpy()
 
-    fill = lat
-    drain = lat + max(math.ceil(m * n / width), owned_max)
+    fill = tree_collective_latency(tree, CollectiveKind.BROADCAST)
+    drain = tree_collective_latency(tree, CollectiveKind.GATHER)
+    drain += max(math.ceil(m * n / width), owned_max)
     cycles = fill + stream_cycles + drain
     mac_ops = m * n * k
 
@@ -305,7 +283,7 @@ def simulate_cs_gemm(
         cycles,
         Matrix.from_numpy(c_acc),
         mac_ops,
-        num_pes,
+        tree.num_pes,
         steady_cycles=stream_cycles,
         phases=phases,
         transfer_counts=_cs_transfer_counts(tree, assign, k),

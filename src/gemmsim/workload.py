@@ -91,14 +91,6 @@ class Matrix:
         return cls(len(rows), c, [e for row in rows for e in row])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, np.zeros(rows * cols, dtype=np.int64))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, np.eye(n, dtype=np.int64).ravel())
-
-    @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "Matrix":
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")

@@ -9,7 +9,6 @@ from gemmsim import (
     CollectiveKind,
     CommModel,
     MeshBoundInput,
-    ceil_log2,
     collective_cost,
     dark_silicon,
     fisher_bound,
@@ -108,7 +107,7 @@ def test_dark_silicon_effective_multiplier_saturates():
 
 
 def test_ceil_log2():
-    assert [ceil_log2(p) for p in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
+    assert [tree_time(p, 2) for p in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
 
 
 def test_collective_cost_single_node_free():
@@ -138,7 +137,7 @@ def test_collective_cost_log_overhead():
     # bcast cost divided by ceil(log2 p) is constant in p for a fixed payload.
     model = CommModel(5e-6, 2e-9)
     per_round = [
-        collective_cost(CollectiveKind.BROADCAST, p, 1 << 13, model) / ceil_log2(p)
+        collective_cost(CollectiveKind.BROADCAST, p, 1 << 13, model) / tree_time(p, 2)
         for p in (2, 4, 16, 256, 1024)
     ]
     assert all(x == pytest.approx(per_round[0], rel=1e-12) for x in per_round)

@@ -444,6 +444,25 @@ def test_non_string_arch_type_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, axis, message",
+    [
+        ("workload", "workload.k", "key 'workload' must be an object"),
+        ("arch", "arch.rows", "arch spec must be an object"),
+    ],
+    ids=["workload", "arch"],
+)
+def test_sweep_axis_into_non_object_section_is_config_error(
+    tmp_path, capsys, section, axis, message
+):
+    payload = simulate_config(tmp_path / "out")
+    payload.update(kind="sweep", grid={axis: [1, 2]})
+    payload[section] = [4]
+    assert cli.main(["sweep", str(write_config(tmp_path, payload))]) == 2
+    assert capsys.readouterr().err == f"gemmsim: config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 GEMM = {"m": 4, "n": 4, "k": 2}
 INNER_PRODUCT = {"kind": "inner_product", "n": 10}
 

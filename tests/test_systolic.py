@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from gemmsim import (
@@ -25,7 +26,8 @@ def test_single_pe_pipeline():
 
 def test_identity_passthrough_with_pipeline_slack():
     b = Matrix.from_rows([[4, -7], [2, 9]])
-    res = simulate_systolic_gemm(Matrix.identity(2), b, SystolicConfig(2, 2))
+    identity = Matrix.from_numpy(np.eye(2, dtype=np.int64))
+    res = simulate_systolic_gemm(identity, b, SystolicConfig(2, 2))
     assert res.result == b
     assert res.utilization < 1.0
 

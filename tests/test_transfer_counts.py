@@ -7,6 +7,8 @@ bisect per output and a set of group ids per column, and the two must agree
 exactly.
 """
 
+from bisect import bisect_right
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,14 +23,18 @@ from gemmsim import (
 from gemmsim.streamer import _cs_transfer_counts
 
 
+def owner_of(assign, i, j):
+    return bisect_right(assign.starts, i * assign.out_cols + j) - 1
+
+
 def need_set_transfer_counts(tree, assign, k):
     m, n = assign.out_rows, assign.out_cols
     levels, fanout = tree.levels, tree.fanout
     if levels == 0:
         return {"mem_to_pe": k * (m + n), "pe_to_mem": m * n, "pe_to_pe": 0}
 
-    row_intervals = [(assign.owner_of(i, 0), assign.owner_of(i, n - 1)) for i in range(m)]
-    col_sets = [sorted({assign.owner_of(i, j) for i in range(m)}) for j in range(n)]
+    row_intervals = [(owner_of(assign, i, 0), owner_of(assign, i, n - 1)) for i in range(m)]
+    col_sets = [sorted({owner_of(assign, i, j) for i in range(m)}) for j in range(n)]
 
     ce_to_pe = sum(hi - lo + 1 for lo, hi in row_intervals)
     ce_to_pe += sum(len(s) for s in col_sets)

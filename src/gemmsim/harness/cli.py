@@ -41,7 +41,11 @@ def _execute(config_path: str, require_sweep: bool) -> int:
         _err(f"simulation input rejected: {exc}")
         return EXIT_SIM_INPUT
 
-    csv_path, sidecar_path = write_report(resolved, rows, __version__)
+    try:
+        csv_path, sidecar_path = write_report(resolved, rows, __version__)
+    except ConfigError as exc:  # the output directory could not be created
+        _err(f"config error: {exc}")
+        return EXIT_CONFIG
     _err(f"wrote {csv_path} and {sidecar_path} ({len(rows)} rows)")
     if validation_failed(rows):
         _err("validation: FAIL")

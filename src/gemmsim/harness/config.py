@@ -151,9 +151,20 @@ def _resolve_output(raw: Any) -> dict:
     basename = raw.get("basename", "report")
     if not isinstance(basename, str) or not basename:
         raise ConfigError("key 'basename' must be a non-empty string")
+    if "/" in basename or os.sep in basename or basename in (".", ".."):
+        raise ConfigError(f"key 'basename' must be a file name, not a path, got {basename!r}")
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir:
         out_dir = env_dir
+    # The report writer creates the directory; its nearest existing ancestor
+    # must therefore be a directory.
+    existing = Path(out_dir).absolute()
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ConfigError(
+            f"key 'dir': cannot create output directory {out_dir!r}: {existing} is not a directory"
+        )
     return {"dir": out_dir, "basename": basename}
 
 
@@ -203,15 +214,11 @@ def _resolve_compare(raw: dict) -> dict:
 
 
 def _resolve_sweep(raw: dict) -> dict:
-    resolved = {
+    return {
         "workload": _require(raw, "workload", "config"),
         "arch": _require(raw, "arch", "config"),
         "grid": _resolve_grid(_require(raw, "grid", "config")),
     }
-    # Every point is resolved again when the sweep runs; resolving them now
-    # makes a broken point fail before any simulation starts.
-    _sweep_points(resolved)
-    return resolved
 
 
 def _resolve_bounds(raw: dict) -> dict:
@@ -298,11 +305,17 @@ def _point_row(kind: str, arch: dict, workload: dict) -> dict[str, Any]:
     return row
 
 
-def _point_rows(points: Callable[[dict], list[tuple[dict, dict]]]) -> Callable[[dict], list]:
-    """Row producer of a kind that runs a list of (workload, arch) points."""
-    return lambda resolved: [
-        _point_row(resolved["kind"], arch, workload) for workload, arch in points(resolved)
-    ]
+def _check_feasible(points: list[tuple[dict, dict]]) -> None:
+    """Reject the first point its machine cannot run, naming the key and the point."""
+    for index, (workload, arch) in enumerate(points, 1):
+        if ARCHS[arch["type"]].feasible is None:
+            continue
+        keys, requirement, holds = ARCHS[arch["type"]].feasible
+        if not holds(arch, workload):
+            raise ConfigError(
+                f"point {index} of {len(points)} is infeasible: {keys} must satisfy {requirement} "
+                f"({arch['type']} {_params(arch)}; workload {_params(workload)})"
+            )
 
 
 def _bounds_rows(resolved: dict) -> list[dict[str, Any]]:
@@ -345,13 +358,16 @@ class Arch(NamedTuple):
     A key's default is REQUIRED, a value, or a function of the workload and
     the keys before it.  Runners find simulators on their modules at call
     time, so patched simulators run.  Mesh machines report the mesh bound of
-    their dimension beside their cycles.
+    their dimension beside their cycles.  feasible, where given, is the keys
+    a point must fit, the requirement they must meet, and its predicate over
+    the arch and the workload; every point is checked at resolution.
     """
 
     workload: str
     keys: tuple[tuple[str, Any, float | None, Callable[..., Any]], ...]
     run: Callable[[dict, dict], Any]
     mesh_dimension: int | None = None
+    feasible: tuple[str, str, Callable[[dict, dict], bool]] | None = None
 
 
 def _operands(w: dict) -> tuple:
@@ -373,6 +389,7 @@ ARCHS = {
             w["n"], meshflow.MeshConfig.chain(arch["extent"], arch["hop_latency"]), seed=w["seed"]
         ),
         mesh_dimension=1,
+        feasible=("key 'extent'", "extent >= n", lambda arch, w: arch["extent"] >= w["n"]),
     ),
     "grid": Arch(
         "inner_product",
@@ -387,6 +404,11 @@ ARCHS = {
             seed=w["seed"],
         ),
         mesh_dimension=2,
+        feasible=(
+            "keys 'rows' and 'cols'",
+            "rows*cols >= n",
+            lambda arch, w: arch["rows"] * arch["cols"] >= w["n"],
+        ),
     ),
     "tree": Arch(
         "inner_product",
@@ -410,6 +432,7 @@ ARCHS = {
             ),
             w["block_width"],
         ),
+        feasible=("key 'pes'", "pes <= m*n", lambda arch, w: arch["pes"] <= w["m"] * w["n"]),
     ),
     "summa": Arch(
         "gemm",
@@ -455,22 +478,42 @@ class Kind(NamedTuple):
     sweepable: bool = False
 
 
+def _point_kind(
+    keys: tuple[str, ...],
+    resolve: Callable[[dict], dict],
+    points: Callable[[dict], list[tuple[dict, dict]]],
+    sweepable: bool = False,
+) -> Kind:
+    """A kind that runs a list of (workload, arch) points.
+
+    Resolution resolves every point and checks that its machine can run it,
+    so a broken or infeasible point fails before any simulation starts.
+    """
+
+    def resolve_points(raw: dict) -> dict:
+        resolved = resolve(raw)
+        _check_feasible(points(resolved))
+        return resolved
+
+    def rows(resolved: dict) -> list[dict[str, Any]]:
+        return [_point_row(resolved["kind"], arch, workload) for workload, arch in points(resolved)]
+
+    return Kind(keys, resolve_points, rows, sweepable)
+
+
 KINDS = {
-    "simulate": Kind(
+    "simulate": _point_kind(
         ("workload", "arch"),
         _resolve_simulate,
-        _point_rows(lambda resolved: [(resolved["workload"], resolved["arch"])]),
+        lambda resolved: [(resolved["workload"], resolved["arch"])],
     ),
-    "sweep": Kind(
-        ("workload", "arch", "grid"),
-        _resolve_sweep,
-        _point_rows(_sweep_points),
-        sweepable=True,
+    "sweep": _point_kind(
+        ("workload", "arch", "grid"), _resolve_sweep, _sweep_points, sweepable=True
     ),
-    "compare": Kind(
+    "compare": _point_kind(
         ("workload", "archs"),
         _resolve_compare,
-        _point_rows(lambda resolved: [(resolved["workload"], a) for a in resolved["archs"]]),
+        lambda resolved: [(resolved["workload"], a) for a in resolved["archs"]],
     ),
     "bounds": Kind(("entries",), _resolve_bounds, _bounds_rows),
     "darksilicon": Kind(("generations",), _resolve_darksilicon, _darksilicon_rows, sweepable=True),

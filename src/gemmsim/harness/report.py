@@ -16,6 +16,7 @@ import os
 from pathlib import Path
 from typing import Any
 
+from .config import ConfigError
 from .experiments import REPORT_COLUMNS
 
 
@@ -31,7 +32,10 @@ def write_report(
     resolved: dict, rows: list[dict[str, Any]], tool_version: str
 ) -> tuple[Path, Path]:
     out_dir = Path(resolved["output"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"key 'dir': cannot create output directory '{out_dir}': {exc}") from exc
     basename = resolved["output"]["basename"]
     csv_path = out_dir / f"{basename}.csv"
     sidecar_path = out_dir / f"{basename}.meta.json"

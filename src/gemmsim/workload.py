@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -215,16 +217,42 @@ def make_vectors(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Ground-truth GEMM in exact integer arithmetic.
+    """Ground-truth GEMM in exact integer arithmetic, by Kronecker substitution.
 
     Pure Python on purpose: this is the oracle every simulator is compared
-    against, so it multiplies the Python ints of ``to_rows()`` and does not
-    share the simulators' numpy arithmetic.
+    against, so it shares no numpy arithmetic with them.  Each row of B is
+    packed into one big int of w-bit fields, each starting at 2^(w-1) so it
+    never borrows, and row i of C is one big-int multiply-add per element of
+    A's row i.  w is 32 while k * max|A| * max|B| < 2^31, 64 while it is
+    below 2^63; larger operands raise ValueError.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
-    bcols = list(zip(*b.to_rows()))
-    out = [sum(map(operator.mul, arow, bcol)) for arow in a.to_rows() for bcol in bcols]
+    arows, bflat = a.to_rows(), b.to_numpy().ravel().tolist()
+    amax = max(max(map(max, arows)), -min(map(min, arows)))
+    # At least max|B|, so every element of B also fits in a field.
+    bound = max(a.cols * amax, 1) * max(max(bflat), -min(bflat))
+    if bound >= 1 << 63:
+        raise ValueError(f"k * max|A| * max|B| = {bound} does not fit in 64 bits")
+    code, width = ("i", 32) if bound < 1 << 31 else ("q", 64)
+    order = sys.byteorder  # array and memoryview use the native byte order
+    size = b.cols * width // 8
+    # -2^(w-1) in w-bit two's complement is the field's top bit alone.
+    offset = int.from_bytes(array(code, [-(1 << width - 1)] * b.cols).tobytes(), order)
+    braw = array(code, bflat).tobytes()
+    # Read unsigned, field j holds B[k][j] mod 2^w; flipping its top bit makes
+    # it B[k][j] + 2^(w-1), and subtracting the offset leaves the signed
+    # sum_j B[k][j] * 2^(w*j).
+    packed = [
+        (int.from_bytes(braw[lo : lo + size], order) ^ offset) - offset
+        for lo in range(0, len(braw), size)
+    ]
+    out = []
+    for arow in arows:
+        # Each field now holds C[i][j] + 2^(w-1) in [0, 2^w); flipping its top
+        # bit leaves C[i][j] in two's complement.
+        acc = sum(map(operator.mul, arow, packed), offset) ^ offset
+        out += memoryview(acc.to_bytes(size, order)).cast(code).tolist()
     return Matrix(a.rows, b.cols, out)
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gemmsim.harness import cli
+from gemmsim.harness import cli, config
 from gemmsim.harness.config import ConfigError, resolve_config
 from gemmsim.harness.experiments import REPORT_COLUMNS, run_experiment
 from gemmsim.harness.report import write_report
@@ -112,7 +112,10 @@ def test_unreadable_config(tmp_path):
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 
 
-def test_simulator_precondition_maps_to_exit_3(tmp_path, capsys):
+def test_simulator_precondition_maps_to_exit_3(tmp_path, capsys, monkeypatch):
+    # Resolution rejects this point as infeasible; without that check the
+    # simulator's own rejection must still map to exit 3.
+    monkeypatch.setitem(config.ARCHS, "streamer", config.ARCHS["streamer"]._replace(feasible=None))
     payload = {
         "schema_version": 1,
         "kind": "simulate",
@@ -328,6 +331,86 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert cli.main(["run", str(cfg)]) == 0
     assert (override / "report.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("basename", ["sub/r", ".", ".."])
+def test_basename_that_is_a_path_is_config_error(tmp_path, capsys, basename):
+    payload = simulate_config(tmp_path / "out")
+    payload["output"]["basename"] = basename
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["run", str(cfg)]) == 2
+    assert "key 'basename' must be a file name" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subdir", ["", "sub"], ids=["file", "under-file"])
+def test_output_dir_that_cannot_be_created_is_config_error(tmp_path, capsys, monkeypatch, subdir):
+    monkeypatch.setattr(importlib.import_module("gemmsim.systolic"), "simulate_systolic_gemm", None)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, simulate_config(blocker / subdir))
+    assert cli.main(["run", str(cfg)]) == 2
+    assert "config error: key 'dir': cannot create output directory" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg, blocker]
+
+
+def test_report_writer_maps_directory_failure_to_config_error(tmp_path):
+    out = tmp_path / "out"
+    resolved = resolve_config(simulate_config(out))
+    rows = run_experiment(resolved)
+    out.write_text("")  # the directory became a file after resolution
+    with pytest.raises(ConfigError, match="key 'dir'"):
+        write_report(resolved, rows, "test")
+    assert sorted(tmp_path.iterdir()) == [out]
+
+
+# (workload, a feasible arch, an infeasible one, the sweep axis between them,
+#  the simulator, the complaint)
+INFEASIBLE = {
+    "streamer": (
+        {"m": 3, "n": 2, "k": 2},
+        {"type": "streamer", "pes": 6},
+        {"type": "streamer", "pes": 7},
+        {"arch.pes": [6, 7]},
+        ("streamer", "simulate_cs_gemm"),
+        "key 'pes' must satisfy pes <= m*n",
+    ),
+    "chain": (
+        {"kind": "inner_product", "n": 9},
+        {"type": "chain", "extent": 9},
+        {"type": "chain", "extent": 8},
+        {"arch.extent": [9, 8]},
+        ("meshflow", "simulate_chain_reduction"),
+        "key 'extent' must satisfy extent >= n",
+    ),
+    "grid": (
+        {"kind": "inner_product", "n": 10},
+        {"type": "grid", "rows": 4, "cols": 3},
+        {"type": "grid", "rows": 3, "cols": 3},
+        {"arch.rows": [4, 3]},
+        ("meshflow", "simulate_grid_reduction"),
+        "keys 'rows' and 'cols' must satisfy rows*cols >= n",
+    ),
+}
+
+
+@pytest.mark.parametrize("arch_type", sorted(INFEASIBLE))
+def test_infeasible_point_is_config_error_before_any_simulation(
+    tmp_path, capsys, monkeypatch, arch_type
+):
+    workload, feasible, infeasible, axis, (module, attr), message = INFEASIBLE[arch_type]
+    monkeypatch.setattr(importlib.import_module(f"gemmsim.{module}"), attr, None)
+    configs = [
+        ("run", "1 of 1", {"kind": "simulate", "arch": infeasible}),
+        ("run", "2 of 2", {"kind": "compare", "archs": [feasible, infeasible]}),
+        ("sweep", "2 of 2", {"kind": "sweep", "arch": feasible, "grid": axis}),
+    ]
+    for command, point, payload in configs:
+        payload.update(schema_version=1, workload=workload, output={"dir": str(tmp_path / "out")})
+        assert cli.main([command, str(write_config(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gemmsim: config error: point {point} is infeasible: {message} (")
+        assert not (tmp_path / "out").exists()
 
 
 def test_report_columns_are_stable():

@@ -28,7 +28,6 @@ from .meshflow import (
 from .results import SimResult
 from .streamer import (
     CETree,
-    PEAssignment,
     build_ce_tree,
     simulate_cs_gemm,
     simulate_tree_inner_product,
@@ -69,7 +68,6 @@ __all__ = [
     "OPERAND_MAX",
     "OPERAND_MIN",
     "OuterProductStep",
-    "PEAssignment",
     "SimResult",
     "SummaResult",
     "SystolicConfig",

@@ -155,7 +155,10 @@ def _resolve_output(raw: Any) -> dict:
         raise ConfigError(f"key 'basename' must be a file name, not a path, got {basename!r}")
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir:
-        out_dir = env_dir
+        # Keep the configured directory's last component, so configs that
+        # share a basename do not overwrite each other's reports.
+        last = os.path.basename(os.path.normpath(out_dir))
+        out_dir = env_dir if last in ("", ".", "..") else os.path.join(env_dir, last)
     # The report writer creates the directory; its nearest existing ancestor
     # must therefore be a directory.
     existing = Path(out_dir).absolute()

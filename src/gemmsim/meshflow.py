@@ -26,17 +26,14 @@ from .workload import Matrix, resolve_vector_operands
 class MeshConfig:
     """A 1-D chain or 2-D grid of PEs with a fixed per-hop transfer latency."""
 
-    dimension: int
     extents: tuple[int, ...]
     hop_latency: int = 1
 
     def __post_init__(self) -> None:
-        if self.dimension not in (1, 2):
-            raise ValueError(f"mesh dimension must be 1 or 2, got {self.dimension}")
         if not isinstance(self.extents, tuple):
             object.__setattr__(self, "extents", tuple(self.extents))
-        if len(self.extents) != self.dimension:
-            raise ValueError(f"expected {self.dimension} extents, got {self.extents}")
+        if self.dimension not in (1, 2):
+            raise ValueError(f"mesh dimension must be 1 or 2, got {self.dimension}")
         if any(e < 1 for e in self.extents):
             raise ValueError(f"extents must be >= 1, got {self.extents}")
         if self.hop_latency < 1:
@@ -44,11 +41,15 @@ class MeshConfig:
 
     @classmethod
     def chain(cls, extent: int, hop_latency: int = 1) -> "MeshConfig":
-        return cls(1, (extent,), hop_latency)
+        return cls((extent,), hop_latency)
 
     @classmethod
     def grid(cls, rows: int, cols: int, hop_latency: int = 1) -> "MeshConfig":
-        return cls(2, (rows, cols), hop_latency)
+        return cls((rows, cols), hop_latency)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.extents)
 
     @property
     def num_pes(self) -> int:

@@ -34,16 +34,14 @@ DEFAULT_LEVEL_LATENCY = 1
 class CETree:
     """Fan-out hierarchy over num_pes MAC units.
 
-    levels is the CE depth between the memory port and any PE; every PE is
-    reachable from the root in exactly that many CE hops.  level_latency is
-    the clocks one CE level adds in either direction (long wires are assumed
-    pipelineable, so this is a constant).  root_port_width is the operand
-    elements the memory interface moves per clock, in each direction.
+    level_latency is the clocks one CE level adds in either direction (long
+    wires are assumed pipelineable, so this is a constant).  root_port_width
+    is the operand elements the memory interface moves per clock, in each
+    direction.
     """
 
     num_pes: int
     fanout: int
-    levels: int
     level_latency: int
     root_port_width: int
 
@@ -56,10 +54,11 @@ class CETree:
             raise ValueError(f"level latency must be >= 1, got {self.level_latency}")
         if self.root_port_width < 1:
             raise ValueError(f"root port width must be >= 1, got {self.root_port_width}")
-        if self.levels != tree_time(self.num_pes, self.fanout):
-            raise ValueError(
-                f"levels={self.levels} inconsistent with {self.num_pes} PEs at fanout {self.fanout}"
-            )
+
+    @property
+    def levels(self) -> int:
+        """CE depth between the memory port and every PE: ceil(log_fanout(num_pes))."""
+        return tree_time(self.num_pes, self.fanout)
 
 
 def build_ce_tree(
@@ -74,8 +73,7 @@ def build_ce_tree(
     """
     if root_port_width is None:
         root_port_width = fanout
-    levels = tree_time(num_pes, fanout)  # validates num_pes and fanout
-    return CETree(num_pes, fanout, levels, level_latency, root_port_width)
+    return CETree(num_pes, fanout, level_latency, root_port_width)
 
 
 def tree_collective_latency(tree: CETree, kind: CollectiveKind) -> int:
@@ -85,43 +83,7 @@ def tree_collective_latency(tree: CETree, kind: CollectiveKind) -> int:
     return tree.levels * tree.level_latency
 
 
-@dataclass(frozen=True)
-class PEAssignment:
-    """Partition of the m x n output space into per-PE contiguous ranges.
-
-    Outputs are linearized row-major and split into num_pes balanced chunks
-    (sizes differ by at most one), so every PE owns at least one output
-    whenever num_pes <= m * n.  A PE's accumulator count equals the size of
-    its range.
-    """
-
-    out_rows: int
-    out_cols: int
-    starts: tuple[int, ...]  # starts[q] .. starts[q+1] is PE q's range
-
-    @classmethod
-    def balanced(cls, out_rows: int, out_cols: int, num_pes: int) -> "PEAssignment":
-        total = out_rows * out_cols
-        if num_pes < 1:
-            raise ValueError(f"PE count must be >= 1, got {num_pes}")
-        if num_pes > total:
-            raise ValueError(
-                f"{num_pes} PEs cannot each own an output of a {out_rows}x{out_cols} result"
-            )
-        base, extra = divmod(total, num_pes)  # the first `extra` PEs own one more
-        starts = tuple(q * base + min(q, extra) for q in range(num_pes + 1))
-        return cls(out_rows, out_cols, starts)
-
-    @property
-    def num_pes(self) -> int:
-        return len(self.starts) - 1
-
-    @property
-    def max_outputs(self) -> int:
-        return max(self.starts[q + 1] - self.starts[q] for q in range(self.num_pes))
-
-
-def _cs_transfer_counts(tree: CETree, assign: PEAssignment, k: int) -> dict[str, int]:
+def _cs_transfer_counts(tree: CETree, m: int, n: int, k: int) -> dict[str, int]:
     """Aggregate per-link-kind transfer counts for one full GEMM.
 
     Downward counts follow multicast semantics: an element crosses the root
@@ -131,11 +93,14 @@ def _cs_transfer_counts(tree: CETree, assign: PEAssignment, k: int) -> dict[str,
     B[*, j] by the PEs owning something in column j.  The same need sets
     apply to each of the k inner-dimension slices.
 
-    Owners never decrease along a row or down a column, so the subtrees of
-    g leaves needing row or column slices number m + n plus the changes of
-    owner // g along the rows and down the columns.
+    Outputs are linearized row-major and split into num_pes contiguous,
+    balanced ranges: with base, extra = divmod(m*n, num_pes), the first extra
+    PEs own base + 1 outputs and the rest own base, so output i belongs to
+    PE max(i // (base+1), (i - extra) // base).  Owners never decrease along
+    a row or down a column, so the subtrees of g leaves needing row or column
+    slices number m + n plus the changes of owner // g along the rows and
+    down the columns.
     """
-    m, n = assign.out_rows, assign.out_cols
     levels, fanout = tree.levels, tree.fanout
     if levels == 0:
         return {
@@ -144,7 +109,9 @@ def _cs_transfer_counts(tree: CETree, assign: PEAssignment, k: int) -> dict[str,
             "pe_to_pe": 0,
         }
 
-    owner = np.searchsorted(assign.starts, np.arange(m * n), side="right").reshape(m, n) - 1
+    base, extra = divmod(m * n, tree.num_pes)
+    out = np.arange(m * n)
+    owner = np.maximum(out // (base + 1), (out - extra) // base).reshape(m, n)
 
     def subtrees(group: int) -> int:
         g = owner // group
@@ -243,9 +210,10 @@ def simulate_cs_gemm(
     m, k, n = a.rows, a.cols, b.cols
     if block_width < 1:
         raise ValueError(f"block width must be >= 1, got {block_width}")
-    assign = PEAssignment.balanced(m, n, tree.num_pes)
+    if tree.num_pes > m * n:
+        raise ValueError(f"{tree.num_pes} PEs cannot each own an output of a {m}x{n} result")
     steps = outer_product_schedule(a, b, min(block_width, k))
-    owned_max = assign.max_outputs
+    owned_max = -(-m * n // tree.num_pes)  # PE 0 owns the largest range
     width = tree.root_port_width
 
     c_acc = np.zeros((m, n), dtype=np.int64)
@@ -286,6 +254,6 @@ def simulate_cs_gemm(
         tree.num_pes,
         steady_cycles=stream_cycles,
         phases=phases,
-        transfer_counts=_cs_transfer_counts(tree, assign, k),
+        transfer_counts=_cs_transfer_counts(tree, m, n, k),
         activity_trace=trace,
     )

@@ -158,7 +158,6 @@ def resolve_vector_operands(
 class OuterProductStep:
     """One rank-b update: C += col_block (m x b) . row_block (b x n)."""
 
-    index: int
     col_block: Matrix
     row_block: Matrix
 
@@ -269,7 +268,7 @@ def outer_product_schedule(a: Matrix, b: Matrix, block_width: int) -> list[Outer
     if block_width < 1 or block_width > k:
         raise ValueError(f"block width must be in [1, {k}], got {block_width}")
     steps = []
-    for t, lo in enumerate(range(0, k, block_width)):
+    for lo in range(0, k, block_width):
         hi = min(k, lo + block_width)
-        steps.append(OuterProductStep(t, a.slice_cols(lo, hi), b.slice_rows(lo, hi)))
+        steps.append(OuterProductStep(a.slice_cols(lo, hi), b.slice_rows(lo, hi)))
     return steps

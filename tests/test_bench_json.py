@@ -1,0 +1,70 @@
+"""tools/bench_json.py on synthetic perfbench reports."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_json", Path(__file__).resolve().parents[1] / "tools" / "bench_json.py"
+)
+bench_json = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_json)
+
+
+def write_report(directory, workload, seed, commit, value, traced=False):
+    directory.mkdir(exist_ok=True)
+    metrics = {key: {"value": value, "unit": "s"} for key in bench_json.METRICS}
+    report = {
+        "workload": workload,
+        "environment": {"python": "3.11", "nproc": 2, "seed": seed, "commit": commit},
+        "result": {"correct": True, "metrics": metrics},
+    }
+    if traced:
+        report["patch_sites"] = {}
+    path = directory / f"report-{workload}-seed{seed}-trace{int(traced)}.json"
+    path.write_text(json.dumps(report))
+
+
+def args(pr, parent, change, out):
+    return ["--pr", str(pr), "--parent", str(parent), "--change", str(change), "--out", str(out)]
+
+
+def test_summary_of_paired_runs(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, value in ((1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0), (5, 5.0)):
+        write_report(parent, "routine", seed, "aaa", value)
+        write_report(change, "routine", seed, "bbb", value / 2)
+    write_report(parent, "routine", 9, "aaa", 100.0)  # unpaired: left out
+    write_report(change, "inner-product", 1, "bbb", 1.0)  # no parent run: left out
+    out = tmp_path / "BENCH_3.json"
+    assert bench_json.main(args(3, parent, change, out)) == 0
+
+    summary = json.loads(out.read_text())
+    assert summary["pr"] == 3
+    assert list(summary["workloads"]) == ["routine"]
+    routine = summary["workloads"]["routine"]
+    assert routine["pairs"] == 5
+    assert routine["seeds"] == [1, 2, 3, 4, 5]
+    assert routine["environment"] == {"python": "3.11", "nproc": 2}
+    assert routine["parent"]["commit"] == "aaa"
+    assert routine["change"]["commit"] == "bbb"
+    for key in bench_json.METRICS:
+        assert routine["parent"][key] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+        assert routine["change"][key] == {"median": 1.5, "q1": 1.0, "q3": 2.0}
+
+
+@pytest.mark.parametrize("defect", ["traced", "mixed-commits"])
+def test_unlike_runs_are_refused(tmp_path, capsys, defect):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_report(parent, "routine", 1, "aaa", 1.0)
+    write_report(change, "routine", 1, "bbb", 1.0)
+    if defect == "traced":
+        write_report(change, "routine", 2, "bbb", 1.0, traced=True)
+    else:
+        write_report(change, "gemm-large", 1, "ccc", 1.0)
+    out = tmp_path / "BENCH_1.json"
+    assert bench_json.main(args(1, parent, change, out)) != 0
+    assert "bench_json:" in capsys.readouterr().err
+    assert not out.exists()

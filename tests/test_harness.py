@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from gemmsim.harness.config import ConfigError, resolve_config
 from gemmsim.harness.experiments import REPORT_COLUMNS, run_experiment
 from gemmsim.harness.report import write_report
 from gemmsim.harness.validation import run_validation
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -329,8 +332,37 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("GEMMSIM_OUTPUT_DIR", str(override))
     cfg = write_config(tmp_path, simulate_config(tmp_path / "ignored"))
     assert cli.main(["run", str(cfg)]) == 0
-    assert (override / "report.csv").exists()
+    assert (override / "ignored" / "report.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize(
+    "configured, subdir",
+    [("reports/bounds/", "bounds"), (".", None), ("..", None), ("a/..", None), ("/", None)],
+)
+def test_output_dir_env_override_keeps_last_component(tmp_path, monkeypatch, configured, subdir):
+    monkeypatch.setenv("GEMMSIM_OUTPUT_DIR", str(tmp_path))
+    resolved = resolve_config(dict(simulate_config(""), output={"dir": configured}))
+    assert resolved["output"]["dir"] == str(tmp_path / subdir if subdir else tmp_path)
+
+
+def test_output_dir_env_override_keeps_configs_apart(tmp_path, monkeypatch):
+    # Both shipped configs write report.csv, each to its own directory.
+    monkeypatch.setenv("GEMMSIM_OUTPUT_DIR", str(tmp_path))
+    for stem in ("simulate_systolic", "compare_low_k"):
+        assert cli.main(["run", str(CONFIGS / f"{stem}.json")]) == 0
+    systolic = read_rows(tmp_path / "simulate_systolic" / "report.csv")
+    compare = read_rows(tmp_path / "compare_low_k" / "report.csv")
+    assert [row["architecture"] for row in systolic] == ["systolic"]
+    assert [row["architecture"] for row in compare] == ["systolic", "streamer"]
+
+
+def test_output_dir_env_override_checks_the_final_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GEMMSIM_OUTPUT_DIR", str(tmp_path))
+    (tmp_path / "taken").write_text("")
+    cfg = write_config(tmp_path, simulate_config("reports/taken"))
+    assert cli.main(["run", str(cfg)]) == 2
+    assert "key 'dir': cannot create output directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("basename", ["sub/r", ".", ".."])

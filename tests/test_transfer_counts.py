@@ -3,8 +3,8 @@
 ``_cs_transfer_counts`` counts the CE subtrees that need each operand slice
 from the changes of the owner grid along rows and columns.  The reference
 below enumerates the need sets output by output, with one ``owner_of``
-bisect per output and a set of group ids per column, and the two must agree
-exactly.
+bisect per output over the partition's range starts and a set of group ids
+per column, and the two must agree exactly.
 """
 
 from bisect import bisect_right
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from gemmsim import (
     GemmShape,
-    PEAssignment,
     build_ce_tree,
     make_gemm,
     reference_matmul,
@@ -23,18 +22,29 @@ from gemmsim import (
 from gemmsim.streamer import _cs_transfer_counts
 
 
-def owner_of(assign, i, j):
-    return bisect_right(assign.starts, i * assign.out_cols + j) - 1
+def range_starts(outputs, pes):
+    """Row-major balanced partition: PE q owns outputs starts[q] .. starts[q+1] - 1."""
+    base, extra = divmod(outputs, pes)  # the first `extra` PEs own one more
+    return [q * base + min(q, extra) for q in range(pes + 1)]
 
 
-def need_set_transfer_counts(tree, assign, k):
-    m, n = assign.out_rows, assign.out_cols
+def test_range_starts_example():
+    # 24 outputs over 5 PEs: sizes 5, 5, 5, 5, 4 tile the output.
+    assert range_starts(4 * 6, 5) == [0, 5, 10, 15, 20, 24]
+
+
+def need_set_transfer_counts(tree, m, n, k):
     levels, fanout = tree.levels, tree.fanout
     if levels == 0:
         return {"mem_to_pe": k * (m + n), "pe_to_mem": m * n, "pe_to_pe": 0}
 
-    row_intervals = [(owner_of(assign, i, 0), owner_of(assign, i, n - 1)) for i in range(m)]
-    col_sets = [sorted({owner_of(assign, i, j) for i in range(m)}) for j in range(n)]
+    starts = range_starts(m * n, tree.num_pes)
+
+    def owner_of(i, j):
+        return bisect_right(starts, i * n + j) - 1
+
+    row_intervals = [(owner_of(i, 0), owner_of(i, n - 1)) for i in range(m)]
+    col_sets = [sorted({owner_of(i, j) for i in range(m)}) for j in range(n)]
 
     ce_to_pe = sum(hi - lo + 1 for lo, hi in row_intervals)
     ce_to_pe += sum(len(s) for s in col_sets)
@@ -77,12 +87,12 @@ def instances(draw):
 @example((12, 12, 1, 144, 5, 1))
 @example((12, 1, 3, 7, 2, 2))  # a single output column
 @example((1, 12, 3, 7, 3, 1))  # a single output row
+@example((4, 6, 3, 5, 2, 1))  # 24 outputs over 5 PEs: ranges of 5, 5, 5, 5, 4
 def test_transfer_counts_match_need_set_enumeration(inst):
     m, n, k, pes, fanout, block_width = inst
     tree = build_ce_tree(pes, fanout)
-    assign = PEAssignment.balanced(m, n, pes)
-    expected = need_set_transfer_counts(tree, assign, k)
-    assert _cs_transfer_counts(tree, assign, k) == expected
+    expected = need_set_transfer_counts(tree, m, n, k)
+    assert _cs_transfer_counts(tree, m, n, k) == expected
 
     a, b = make_gemm(GemmShape(m, n, k), m * 1000 + n * 10 + k)
     res = simulate_cs_gemm(a, b, tree, block_width)

@@ -1,0 +1,99 @@
+"""Summarise paired perfbench runs of a parent and a change as BENCH_<pr>.json.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_json.py --pr 8 --parent PARENT/.perfbench_out \
+        --change CHANGE/.perfbench_out
+
+Each directory holds the untraced ``report-*.json`` files that
+``perfbench/run.py --trace 0`` wrote in one checkout.  Runs pair up by
+workload and seed, and unpaired runs are left out.  For every workload the
+output records, per side, the median and quartiles of each end-to-end
+metric over the paired runs, with the seeds, their count, the side's commit
+and the environment perfbench reported.  A traced report, or reports of
+more than one commit on one side, is an error: the summary would mix unlike
+runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+METRICS = ("pass_s", "cpu_s", "setup_s", "peak_rss_mb")
+
+
+class BenchError(Exception):
+    pass
+
+
+def load_side(directory: Path) -> tuple[str, dict[str, dict[int, dict]]]:
+    """The side's commit and its reports, by workload and seed."""
+    runs: dict[str, dict[int, dict]] = {}
+    commits = set()
+    for path in sorted(directory.glob("report-*.json")):
+        report = json.loads(path.read_text())
+        if "patch_sites" in report:
+            raise BenchError(f"{path}: traced report; use --trace 0 runs only")
+        env = report["environment"]
+        commits.add(env["commit"])
+        runs.setdefault(report["workload"], {})[env["seed"]] = report
+    if not runs:
+        raise BenchError(f"{directory}: no report-*.json files")
+    if len(commits) > 1:
+        raise BenchError(f"{directory}: reports of several commits: {sorted(commits)}")
+    return commits.pop(), runs
+
+
+def spread(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = (
+        statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    )
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(parent_dir: Path, change_dir: Path, pr: int) -> dict:
+    sides = {"parent": load_side(parent_dir), "change": load_side(change_dir)}
+    workloads = {}
+    for name in sorted(sides["change"][1]):
+        seeds = sorted(set(sides["parent"][1].get(name, {})) & set(sides["change"][1][name]))
+        if not seeds:
+            continue
+        entry: dict = {"pairs": len(seeds), "seeds": seeds}
+        for side, (commit, runs) in sides.items():
+            reports = [runs[name][seed] for seed in seeds]
+            metrics = [r["result"]["metrics"] for r in reports]
+            entry[side] = {"commit": commit} | {
+                key: spread([m[key]["value"] for m in metrics]) for key in METRICS
+            }
+        env = dict(sides["change"][1][name][seeds[0]]["environment"])
+        del env["seed"], env["commit"]
+        entry["environment"] = env
+        workloads[name] = entry
+    if not workloads:
+        raise BenchError("no workload has a seed run on both sides")
+    return {"pr": pr, "metrics": list(METRICS), "workloads": workloads}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--parent", type=Path, required=True, help="parent's report directory")
+    parser.add_argument("--change", type=Path, required=True, help="change's report directory")
+    parser.add_argument("--out", type=Path, help="output file (default BENCH_<pr>.json)")
+    args = parser.parse_args(argv)
+    try:
+        summary = summarise(args.parent, args.change, args.pr)
+    except BenchError as exc:
+        print(f"bench_json: {exc}", file=sys.stderr)
+        return 1
+    out = args.out or Path(f"BENCH_{args.pr}.json")
+    out.write_text(json.dumps(summary, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

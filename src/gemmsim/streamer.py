@@ -110,8 +110,8 @@ def _cs_transfer_counts(tree: CETree, m: int, n: int, k: int) -> dict[str, int]:
         }
 
     base, extra = divmod(m * n, tree.num_pes)
-    out = np.arange(m * n)
-    owner = np.maximum(out // (base + 1), (out - extra) // base).reshape(m, n)
+    owner = np.arange(-extra, m * n - extra) // base  # (i - extra) // base
+    owner = np.maximum(owner, np.arange(m * n) // (base + 1), out=owner).reshape(m, n)
 
     def subtrees(group: int) -> int:
         g = owner // group

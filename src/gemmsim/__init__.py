@@ -33,20 +33,13 @@ from .streamer import (
     simulate_tree_inner_product,
     tree_collective_latency,
 )
-from .summa import (
-    ClusterModel,
-    SummaResult,
-    WeakScalingPoint,
-    simulate_summa,
-    weak_scaling_overhead,
-)
+from .summa import ClusterModel, SummaResult, simulate_summa
 from .systolic import SystolicConfig, simulate_systolic_gemm, systolic_cycle_formula
 from .workload import (
     OPERAND_MAX,
     OPERAND_MIN,
     GemmShape,
     Matrix,
-    OuterProductStep,
     make_gemm,
     make_vectors,
     outer_product_schedule,
@@ -67,11 +60,9 @@ __all__ = [
     "MeshConfig",
     "OPERAND_MAX",
     "OPERAND_MIN",
-    "OuterProductStep",
     "SimResult",
     "SummaResult",
     "SystolicConfig",
-    "WeakScalingPoint",
     "build_ce_tree",
     "collective_cost",
     "dark_silicon",
@@ -91,5 +82,4 @@ __all__ = [
     "systolic_cycle_formula",
     "tree_collective_latency",
     "tree_time",
-    "weak_scaling_overhead",
 ]

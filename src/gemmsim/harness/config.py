@@ -43,6 +43,8 @@ def load_config(path: str | Path) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return raw
@@ -526,7 +528,13 @@ KINDS = {
 
 def resolve_config(raw: dict) -> dict:
     """Validate a raw config and return it with every default made explicit."""
-    raw = copy.deepcopy(raw)
+    try:
+        return _resolve(copy.deepcopy(raw))
+    except RecursionError:  # from copying, resolving or printing a deeply nested value
+        raise ConfigError("config nests too deeply") from None
+
+
+def _resolve(raw: dict) -> dict:
     version = _require(raw, "schema_version", "config")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}; this build expects {SCHEMA_VERSION}")

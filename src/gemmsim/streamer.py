@@ -11,7 +11,6 @@ drain are paid once per GEMM, not once per step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -150,18 +149,18 @@ def simulate_tree_inner_product(
     """
     a, b = resolve_vector_operands(n, operands, seed)
     levels = tree_time(n, fanout)
+    if level_latency < 1:
+        raise ValueError(f"level latency must be >= 1, got {level_latency}")
     cycles = 1 + levels * level_latency
 
-    values = a * b
+    # Level l of CEs receives ceil(n / fanout**l) partial sums.
     transfers = {"pe_to_pe": 0}
     if levels == 0:
         transfers["pe_to_mem"] = 1
-    for level in range(levels):
-        key = "pe_to_ce" if level == 0 else "ce_to_ce"
-        transfers[key] = transfers.get(key, 0) + len(values)
-        # Each CE sums one group of `fanout`; the last group is zero-padded.
-        values = np.pad(values, (0, -len(values) % fanout)).reshape(-1, fanout).sum(axis=1)
-    if levels > 0:
+    else:
+        transfers["pe_to_ce"] = n
+        if levels > 1:
+            transfers["ce_to_ce"] = sum(-(-n // fanout**level) for level in range(1, levels))
         transfers["ce_to_mem"] = 1
 
     trace = None
@@ -171,7 +170,7 @@ def simulate_tree_inner_product(
     phases = {"multiply": 1, "reduce": levels * level_latency}
     return build_result(
         cycles,
-        Matrix(1, 1, values),
+        Matrix(1, 1, (int(np.dot(a, b)),)),
         n,
         n,
         phases=phases,
@@ -216,35 +215,32 @@ def simulate_cs_gemm(
     owned_max = -(-m * n // tree.num_pes)  # PE 0 owns the largest range
     width = tree.root_port_width
 
+    def span(bw: int) -> int:
+        """Clocks a step of width bw holds the machine: root port or busiest PE."""
+        return max(-(-(m + n) * bw // width), owned_max * bw)
+
     c_acc = np.zeros((m, n), dtype=np.int64)
-    stream_cycles = 0
-    span_per_step: list[int] = []
-    for step in steps:
-        bw = step.width
-        root_clocks = math.ceil((m * bw + bw * n) / width)
-        pe_clocks = owned_max * bw
-        span = max(root_clocks, pe_clocks)
-        span_per_step.append(span)
-        stream_cycles += span
-        c_acc += step.col_block.to_numpy() @ step.row_block.to_numpy()
+    for col, row in steps:
+        c_acc += col.to_numpy() @ row.to_numpy()
+    widths = [col.cols for col, _ in steps]
+    stream_cycles = sum(map(span, widths))
 
     fill = tree_collective_latency(tree, CollectiveKind.BROADCAST)
     drain = tree_collective_latency(tree, CollectiveKind.GATHER)
-    drain += max(math.ceil(m * n / width), owned_max)
+    drain += max(-(-m * n // width), owned_max)
     cycles = fill + stream_cycles + drain
     mac_ops = m * n * k
 
     trace = None
     if with_trace:
-        t = [0] * cycles
-        pos = fill
-        for step, span in zip(steps, span_per_step):
-            macs = m * n * step.width
-            base, extra = divmod(macs, span)
-            for c in range(span):
-                t[pos + c] = base + (1 if c < extra else 0)
-            pos += span
-        trace = tuple(t)
+        # Each step spreads its m*n*bw MACs evenly over its span, the
+        # remainder one per clock from the start.
+        t = [0] * fill
+        for bw in widths:
+            clocks = span(bw)
+            base, extra = divmod(m * n * bw, clocks)
+            t += [base + 1] * extra + [base] * (clocks - extra)
+        trace = tuple(t + [0] * drain)
 
     phases = {"fill": fill, "stream": stream_cycles, "drain": drain}
     return build_result(

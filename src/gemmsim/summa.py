@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .bounds import CollectiveKind, CommModel, collective_cost
 from .workload import GemmShape
@@ -65,35 +64,25 @@ def simulate_summa(shape: GemmShape, block_width: int, cluster: ClusterModel) ->
     if block_width < 1:
         raise ValueError(f"block width must be >= 1, got {block_width}")
     m, n, k = shape.m, shape.n, shape.k
-    b = min(block_width, k)
     rows_per_node = math.ceil(m / cluster.p_rows)
     cols_per_node = math.ceil(n / cluster.p_cols)
     eb = cluster.element_bytes
+    b = min(block_width, k)
+    widths = [min(b, k - lo) for lo in range(0, k, b)]
+    steps = len(widths)
 
-    alpha_only = CommModel(cluster.comm.alpha, 0.0)
-    beta_only = CommModel(0.0, cluster.comm.beta)
+    def comm(model: CommModel) -> float:
+        """Both broadcasts of every step under the given link model, summed exactly."""
+        return math.fsum(
+            collective_cost(CollectiveKind.BROADCAST, participants, nbytes, model)
+            for width in widths
+            for participants, nbytes in (
+                (cluster.p_cols, rows_per_node * width * eb),
+                (cluster.p_rows, width * cols_per_node * eb),
+            )
+        )
 
-    step_costs: list[float] = []
-    latency_parts: list[float] = []
-    bandwidth_parts: list[float] = []
-    steps = 0
-    for lo in range(0, k, b):
-        width = min(b, k - lo)
-        steps += 1
-        a_bytes = rows_per_node * width * eb
-        b_bytes = width * cols_per_node * eb
-        for participants, nbytes in ((cluster.p_cols, a_bytes), (cluster.p_rows, b_bytes)):
-            step_costs.append(
-                collective_cost(CollectiveKind.BROADCAST, participants, nbytes, cluster.comm)
-            )
-            latency_parts.append(
-                collective_cost(CollectiveKind.BROADCAST, participants, nbytes, alpha_only)
-            )
-            bandwidth_parts.append(
-                collective_cost(CollectiveKind.BROADCAST, participants, nbytes, beta_only)
-            )
-
-    comm_time = math.fsum(step_costs)
+    comm_time = comm(cluster.comm)
     comp_time = shape.macs / (cluster.num_nodes * cluster.node_mac_rate)
     return SummaResult(
         total_time=comp_time + comm_time,
@@ -102,57 +91,7 @@ def simulate_summa(shape: GemmShape, block_width: int, cluster: ClusterModel) ->
         steps=steps,
         row_broadcasts=steps,
         col_broadcasts=steps,
-        comm_latency_time=math.fsum(latency_parts),
-        comm_bandwidth_time=math.fsum(bandwidth_parts),
+        comm_latency_time=comm(CommModel(cluster.comm.alpha, 0.0)),
+        comm_bandwidth_time=comm(CommModel(0.0, cluster.comm.beta)),
         mac_ops=shape.macs,
     )
-
-
-@dataclass(frozen=True)
-class WeakScalingPoint:
-    num_nodes: int
-    comm_time: float
-    comp_time: float
-    total_time: float
-    overhead_fraction: float
-    comm_latency_time: float
-
-
-def weak_scaling_overhead(
-    shape_per_node: GemmShape,
-    grids: Sequence[int],
-    comm: CommModel,
-    node_mac_rate: float,
-    block_width: int | None = None,
-    element_bytes: int = 4,
-) -> list[WeakScalingPoint]:
-    """Communication overhead across square grids at fixed per-node work.
-
-    Each grid side q runs a (q*m0) x (q*n0) x k0 problem on q x q nodes, so
-    per-node MACs stay constant while the latency part of comm_time grows
-    with ceil(log2(q)) = ceil(log2(sqrt(p))).
-    """
-    sides = list(grids)
-    if any(q < 1 for q in sides):
-        raise ValueError(f"grid sides must be >= 1, got {sides}")
-    if any(b >= a for a, b in zip(sides[1:], sides)):
-        raise ValueError(f"grid sides must be strictly increasing, got {sides}")
-    if block_width is None:
-        block_width = shape_per_node.k
-
-    points = []
-    for q in sides:
-        shape = GemmShape(q * shape_per_node.m, q * shape_per_node.n, shape_per_node.k)
-        cluster = ClusterModel(q, q, comm, node_mac_rate, element_bytes)
-        res = simulate_summa(shape, block_width, cluster)
-        points.append(
-            WeakScalingPoint(
-                num_nodes=q * q,
-                comm_time=res.comm_time,
-                comp_time=res.comp_time,
-                total_time=res.total_time,
-                overhead_fraction=res.comm_time / res.total_time,
-                comm_latency_time=res.comm_latency_time,
-            )
-        )
-    return points

@@ -12,7 +12,6 @@ what depresses utilization at low inner dimension.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ def systolic_cycle_formula(shape: GemmShape, cfg: SystolicConfig) -> int:
     m + R + C - 2; there are ceil(k/R) * ceil(n/C) passes.
     """
     r, c = cfg.rows, cfg.cols
-    passes = math.ceil(shape.k / r) * math.ceil(shape.n / c)
+    passes = -(-shape.k // r) * -(-shape.n // c)
     return passes * (r + (shape.m + r + c - 2))
 
 

@@ -114,16 +114,6 @@ class Matrix:
         """Read-only (rows, cols) view of the matrix's own buffer."""
         return self.data.reshape(self.rows, self.cols)
 
-    def slice_rows(self, lo: int, hi: int) -> "Matrix":
-        if not (0 <= lo < hi <= self.rows):
-            raise ValueError(f"bad row slice [{lo}, {hi}) for {self.rows} rows")
-        return Matrix(hi - lo, self.cols, self.data[lo * self.cols : hi * self.cols])
-
-    def slice_cols(self, lo: int, hi: int) -> "Matrix":
-        if not (0 <= lo < hi <= self.cols):
-            raise ValueError(f"bad column slice [{lo}, {hi}) for {self.cols} columns")
-        return Matrix(self.rows, hi - lo, self.to_numpy()[:, lo:hi].ravel())
-
 
 def require_operand_range(*matrices: Matrix) -> None:
     """Reject matrices whose elements fall outside the operand width."""
@@ -152,18 +142,6 @@ def resolve_vector_operands(
     a, b = (Matrix(1, n, v) for v in operands)
     require_operand_range(a, b)
     return a.data, b.data
-
-
-@dataclass(frozen=True)
-class OuterProductStep:
-    """One rank-b update: C += col_block (m x b) . row_block (b x n)."""
-
-    col_block: Matrix
-    row_block: Matrix
-
-    @property
-    def width(self) -> int:
-        return self.col_block.cols
 
 
 def _draw_operands(rng: random.Random, count: int) -> np.ndarray:
@@ -255,20 +233,19 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, b.cols, out)
 
 
-def outer_product_schedule(a: Matrix, b: Matrix, block_width: int) -> list[OuterProductStep]:
+def outer_product_schedule(a: Matrix, b: Matrix, block_width: int) -> list[tuple[Matrix, Matrix]]:
     """Split A into block columns and B into block rows of the given width.
 
-    Returns ceil(k / block_width) steps; the final step may be narrower when
-    the inner dimension is not a multiple of the width.  Summing the steps'
-    outer products reconstructs the full product exactly.
+    Returns ceil(k / block_width) (column block of A, row block of B) pairs,
+    one rank-b update C += col (m x b) . row (b x n) each; the final pair may
+    be narrower when the inner dimension is not a multiple of the width.
+    Summing the pairs' products reconstructs the full product exactly.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
     k = a.cols
     if block_width < 1 or block_width > k:
         raise ValueError(f"block width must be in [1, {k}], got {block_width}")
-    steps = []
-    for lo in range(0, k, block_width):
-        hi = min(k, lo + block_width)
-        steps.append(OuterProductStep(a.slice_cols(lo, hi), b.slice_rows(lo, hi)))
-    return steps
+    an, bn = a.to_numpy(), b.to_numpy()
+    blocks = [slice(lo, lo + block_width) for lo in range(0, k, block_width)]
+    return [(Matrix.from_numpy(an[:, s]), Matrix.from_numpy(bn[s])) for s in blocks]

@@ -231,6 +231,23 @@ def test_systolic_k_sweep_utilization_trend(tmp_path):
         assert util <= k / 16 + 1e-12
 
 
+@pytest.mark.parametrize("depth", [600, 5000])  # past copy.deepcopy's, then json's, recursion limit
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_deeply_nested_config_is_config_error(tmp_path, capsys, command, depth):
+    payload = simulate_config(tmp_path / "out")
+    if command == "sweep":  # a deep base value, which the grid would override
+        payload.update(kind="sweep", grid={"workload.m": [4]})
+        payload["workload"]["m"] = "NESTED"
+    else:
+        payload["workload"] = "NESTED"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(payload).replace('"NESTED"', "[" * depth + "4" + "]" * depth))
+    assert cli.main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "nests too deeply" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_empty_grid_rejected(tmp_path):
     payload = {
         "schema_version": 1,

@@ -94,11 +94,30 @@ def test_streamer(case):
     owned = ceil_div(m * n, pes)
     step = min(block_width, k)
     widths = [step] * (k // step) + ([k % step] if k % step else [])
-    spans = sum(max(ceil_div((m + n) * w, width), owned * w) for w in widths)
+    spans = [max(ceil_div((m + n) * w, width), owned * w) for w in widths]
     latency_total = depth(pes, fanout) * latency
-    cycles = latency_total + spans + latency_total + max(ceil_div(m * n, width), owned)
+    cycles = latency_total + sum(spans) + latency_total + max(ceil_div(m * n, width), owned)
     check_accounting(res, cycles, m * n * k, with_trace)
     assert res.transfer_counts["pe_to_pe"] == 0
+    if with_trace:
+        check_streamer_trace(res.activity_trace, latency_total, spans, widths, m * n)
+
+
+def check_streamer_trace(trace, fill, spans, widths, outputs):
+    """No MACs in the fill or drain; each step's m*n*w MACs spread evenly over its window.
+
+    Within a window the per-clock count never rises and varies by at most
+    one, so any remainder MACs fall on the window's first clocks.
+    """
+    assert not any(trace[:fill])
+    pos = fill
+    for span, w in zip(spans, widths):
+        window = trace[pos : pos + span]
+        assert sum(window) == outputs * w
+        assert all(x >= y for x, y in zip(window, window[1:]))
+        assert window[0] - window[-1] <= 1
+        pos += span
+    assert not any(trace[pos:])
 
 
 @SETTINGS

@@ -81,6 +81,28 @@ def test_tree_inner_product_no_hops_and_exact():
         assert set(res.transfer_counts) <= ALLOWED_LINKS
 
 
+def test_tree_inner_product_transfers():
+    # Level l of CEs receives ceil(n / fanout**l) partial sums: 10, then 4, 2.
+    assert simulate_tree_inner_product(10, 3).transfer_counts == {
+        "pe_to_pe": 0,
+        "pe_to_ce": 10,
+        "ce_to_ce": 4 + 2,
+        "ce_to_mem": 1,
+    }
+    assert simulate_tree_inner_product(3, 4).transfer_counts == {
+        "pe_to_pe": 0,
+        "pe_to_ce": 3,
+        "ce_to_mem": 1,
+    }
+    assert simulate_tree_inner_product(1).transfer_counts == {"pe_to_pe": 0, "pe_to_mem": 1}
+
+
+@pytest.mark.parametrize("latency", [0, -1])
+def test_tree_inner_product_rejects_bad_level_latency(latency):
+    with pytest.raises(ValueError, match=f"level latency must be >= 1, got {latency}"):
+        simulate_tree_inner_product(16, 2, latency)
+
+
 def test_cs_gemm_trivial():
     shape = GemmShape(1, 1, 1)
     a, b = make_gemm(shape, 0)

@@ -9,7 +9,6 @@ from gemmsim import (
     GemmShape,
     collective_cost,
     simulate_summa,
-    weak_scaling_overhead,
 )
 
 
@@ -104,40 +103,31 @@ def test_monotonicity():
     assert more_beta.comm_time > base.comm_time
 
 
+def weak_scaling_point(q, alpha):
+    """A (64q) x (64q) x 64 GEMM on a q x q grid: fixed work per node."""
+    cluster = ClusterModel(q, q, CommModel(alpha, 0.0), 1e9)
+    return simulate_summa(GemmShape(64 * q, 64 * q, 64), 16, cluster)
+
+
 def test_weak_scaling_single_node():
-    points = weak_scaling_overhead(GemmShape(64, 64, 64), [1], CommModel(1e-6, 1e-9), 1e9)
-    assert points[0].overhead_fraction == 0.0
+    cluster = ClusterModel(1, 1, CommModel(1e-6, 1e-9), 1e9)
+    assert simulate_summa(GemmShape(64, 64, 64), 64, cluster).comm_time == 0.0
 
 
 def test_weak_scaling_latency_ratios():
-    alpha = 1e-6
-    points = weak_scaling_overhead(
-        GemmShape(64, 64, 64), [2, 4, 8], CommModel(alpha, 0.0), 1e9, block_width=16
-    )
+    points = [weak_scaling_point(q, 1e-6) for q in (2, 4, 8)]
     latencies = [p.comm_latency_time for p in points]
     assert latencies[1] / latencies[0] == pytest.approx(2.0, rel=1e-12)
     assert latencies[2] / latencies[0] == pytest.approx(3.0, rel=1e-12)
-    # Fixed per-node work: comp_time identical across grids.
-    comps = {p.comp_time for p in points}
-    assert len(comps) == 1
+    assert len({p.comp_time for p in points}) == 1
 
 
 def test_weak_scaling_latency_closed_form():
     alpha = 0.5
-    steps = 4  # k = 64, block 16
-    points = weak_scaling_overhead(
-        GemmShape(64, 64, 64), [2, 4, 8], CommModel(alpha, 0.0), 1e9, block_width=16
-    )
-    for point, q, rounds in zip(points, (2, 4, 8), (1, 2, 3)):
-        assert point.num_nodes == q * q
-        assert point.comm_time == steps * (2 * rounds) * alpha
-
-
-def test_weak_scaling_validation():
-    with pytest.raises(ValueError):
-        weak_scaling_overhead(GemmShape(8, 8, 8), [4, 2], CommModel(0, 0), 1e9)
-    with pytest.raises(ValueError):
-        weak_scaling_overhead(GemmShape(8, 8, 8), [0, 2], CommModel(0, 0), 1e9)
+    for q, rounds in ((2, 1), (4, 2), (8, 3)):
+        res = weak_scaling_point(q, alpha)
+        assert res.steps == 4  # k = 64, block 16
+        assert res.comm_time == res.steps * (2 * rounds) * alpha
 
 
 def test_cluster_validation():

@@ -38,6 +38,15 @@ def test_cycle_examples():
     assert systolic_cycle_formula(GemmShape(4, 8, 8), SystolicConfig(4, 4)) == 56
 
 
+def test_cycle_formula_exact_beyond_float_precision():
+    # ceil(k/R) must not round through a float: 2**53 + 1 and 3*10**17 + 1
+    # have no exact double, and each pass here costs R + (1 + R + 1 - 2) = 2R.
+    k = 2**53 + 1
+    assert systolic_cycle_formula(GemmShape(1, 1, k), SystolicConfig(1, 1)) == 2 * k
+    k = 3 * 10**17 + 1
+    assert systolic_cycle_formula(GemmShape(1, 1, k), SystolicConfig(3, 1)) == 6 * (10**17 + 1)
+
+
 def test_simulation_matches_formula_and_oracle():
     rng = random.Random(3)
     for _ in range(30):

@@ -25,8 +25,17 @@ from . import validation
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "GEMMSIM_OUTPUT_DIR"
 
-REQUIRED = object()  # default of an arch key that every spec of its type must give
-WORKLOAD_KEYS = {"kind", "m", "n", "k", "seed", "block_width"}
+REQUIRED = object()  # default of a key that every spec of its type must give
+# Integer fields of each workload kind: (key, default or REQUIRED, minimum).
+WORKLOAD_KINDS = {
+    "gemm": (("m", REQUIRED, 1), ("n", REQUIRED, 1), ("k", REQUIRED, 1), ("seed", 0, None),
+             ("block_width", 1, 1)),
+    "inner_product": (("n", REQUIRED, 1), ("seed", 0, None)),
+}
+WORKLOAD_MINIMUMS = {
+    key: minimum for fields in WORKLOAD_KINDS.values() for key, _, minimum in fields
+}
+WORKLOAD_KEYS = {"kind", *WORKLOAD_MINIMUMS}
 BOUNDS_KEYS = ("inputs", "outputs", "computations", "dimension")
 
 
@@ -87,6 +96,12 @@ def _check_known_keys(cfg: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in {where}")
 
 
+def _workload_kind(kind: Any) -> str:
+    if not isinstance(kind, str) or kind not in WORKLOAD_KINDS:
+        raise ConfigError(f"workload kind must be 'gemm' or 'inner_product', got {kind!r}")
+    return kind
+
+
 def resolve_workload(raw: Any) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("key 'workload' must be an object")
@@ -94,23 +109,10 @@ def resolve_workload(raw: Any) -> dict:
     kind = raw.get("kind")
     if kind is None:
         kind = "gemm" if "m" in raw or "k" in raw else "inner_product"
-    if kind == "gemm":
-        out = {
-            "kind": "gemm",
-            "m": _as_int(_require(raw, "m", "workload"), "m", 1),
-            "n": _as_int(_require(raw, "n", "workload"), "n", 1),
-            "k": _as_int(_require(raw, "k", "workload"), "k", 1),
-            "seed": _as_int(raw.get("seed", 0), "seed"),
-            "block_width": _as_int(raw.get("block_width", 1), "block_width", 1),
-        }
-    elif kind == "inner_product":
-        out = {
-            "kind": "inner_product",
-            "n": _as_int(_require(raw, "n", "workload"), "n", 1),
-            "seed": _as_int(raw.get("seed", 0), "seed"),
-        }
-    else:
-        raise ConfigError(f"workload kind must be 'gemm' or 'inner_product', got {kind!r}")
+    out = {"kind": _workload_kind(kind)}
+    for key, default, minimum in WORKLOAD_KINDS[kind]:
+        value = _require(raw, key, "workload") if default is REQUIRED else raw.get(key, default)
+        out[key] = _as_int(value, key, minimum)
     return out
 
 
@@ -121,13 +123,17 @@ def _as_positive(value: Any, key: str, minimum: None = None) -> float:
     return value
 
 
+def _arch_type(arch_type: Any) -> str:
+    if not isinstance(arch_type, str) or arch_type not in ARCHS:
+        raise ConfigError(f"arch type must be one of {tuple(ARCHS)}, got {arch_type!r}")
+    return arch_type
+
+
 def resolve_arch(raw: Any, workload: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("arch spec must be an object")
     _check_known_keys(raw, ARCH_KEYS, "arch")
-    arch_type = _require(raw, "type", "arch")
-    if not isinstance(arch_type, str) or arch_type not in ARCHS:
-        raise ConfigError(f"arch type must be one of {tuple(ARCHS)}, got {arch_type!r}")
+    arch_type = _arch_type(_require(raw, "type", "arch"))
     spec = ARCHS[arch_type]
     if workload["kind"] != spec.workload:
         raise ConfigError(f"arch '{arch_type}' requires workload kind '{spec.workload}'")
@@ -219,11 +225,36 @@ def _resolve_compare(raw: dict) -> dict:
 
 
 def _resolve_sweep(raw: dict) -> dict:
-    return {
+    resolved = {
         "workload": _require(raw, "workload", "config"),
         "arch": _require(raw, "arch", "config"),
         "grid": _resolve_grid(_require(raw, "grid", "config")),
     }
+    _check_base_values(resolved["workload"], resolved["arch"])
+    return resolved
+
+
+def _check_base_values(workload: Any, arch: Any) -> None:
+    """Check every value a sweep's base sections give, also one an axis overrides.
+
+    Each point resolves the base with its axis values put in, so an
+    overridden base value is checked nowhere else.  Keys the grid supplies
+    may be absent from the base; a base that is not an object is left to the
+    points' resolvers.
+    """
+    if isinstance(workload, dict):
+        for key, value in workload.items():
+            if key == "kind" and value is not None:
+                _workload_kind(value)
+            elif key in WORKLOAD_MINIMUMS:
+                _as_int(value, key, WORKLOAD_MINIMUMS[key])
+    if isinstance(arch, dict):
+        for key, value in arch.items():
+            if key == "type":
+                _arch_type(value)
+            elif key in ARCH_FIELDS:
+                minimum, convert = ARCH_FIELDS[key]
+                convert(value, key, minimum)
 
 
 def _resolve_bounds(raw: dict) -> dict:
@@ -463,10 +494,14 @@ ARCHS = {
     ),
 }
 
+# Minimum and converter of each arch key; arch types sharing a key agree on both.
+ARCH_FIELDS = {
+    key: (minimum, convert) for arch in ARCHS.values() for key, _, minimum, convert in arch.keys
+}
 # Union of keys any arch spec may carry.  Keys irrelevant to the selected
 # type are tolerated so one base spec can be swept across types; anything
 # outside this set is a config error.
-ARCH_KEYS = {"type"} | {key[0] for arch in ARCHS.values() for key in arch.keys}
+ARCH_KEYS = {"type", *ARCH_FIELDS}
 
 
 class Kind(NamedTuple):

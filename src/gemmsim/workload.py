@@ -13,7 +13,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -144,27 +144,62 @@ def resolve_vector_operands(
     return a.data, b.data
 
 
+# Draws of at least this many values take their words from numpy's MT19937
+# loaded with the generator's state.  Building it and copying the state in
+# and out costs ~0.4 ms a call, which pays off only past ~21,000 values (the
+# crossover measured on a 2-core x86 host); this is the next power of two.
+NUMPY_DRAW_MIN = 2**15
+
+# Index of a word's high 16 bits among the int16 views of a native uint64.
+_HIGH_HALF = 1 if sys.byteorder == "little" else 2
+
+
 def _draw_operands(rng: random.Random, count: int) -> np.ndarray:
     """``[rng.randint(OPERAND_MIN, OPERAND_MAX) for _ in range(count)]`` as int64.
 
     ``randint`` keeps the top 9 bits of one 32-bit Mersenne Twister word and
-    rejects values >= 256.  ``getrandbits(32 * w)`` returns the next w words
-    little-endian, so filtering those words in numpy yields the same values
-    and leaves ``rng`` in the same state.  Each round draws only as many
-    words as values are still missing, so no word is drawn past the last
-    accepted one.
+    rejects values >= 256, that is, words with the top bit set.  So a word's
+    high 16 bits, read as int16, are kept when >= 0 and give the value
+    ``(hi >> 7) + OPERAND_MIN``.  Each round draws only as many words as
+    values are still missing, so no word is drawn past the last accepted one.
+
+    The words come from ``rng.getrandbits(32 * w)``, which returns the next
+    w words little-endian, or, for at least ``NUMPY_DRAW_MIN`` values, from
+    ``numpy.random.MT19937``, the same generator, run from a copy of
+    ``rng``'s state that is written back afterwards.  Either way the values
+    and ``rng``'s final state equal ``randint``'s.
     """
-    width = OPERAND_MAX - OPERAND_MIN + 1
-    shift = 32 - width.bit_length()
-    parts = [np.empty(0, dtype=np.uint32)]
+    if count < NUMPY_DRAW_MIN:
+        return _accept_words(
+            count,
+            lambda w: np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<i2")[1::2],
+        )
+    from numpy.random import MT19937  # ~6 MB of RSS, so only on this path
+
+    version, internal, gauss_next = rng.getstate()
+    mt = MT19937(0)  # a fixed seed skips the OS entropy; the state is replaced
+    key = np.array(internal[:-1], dtype=np.uint32)
+    mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": internal[-1]}}
+    # random_raw widens each 32-bit word to a uint64.
+    ops = _accept_words(count, lambda w: mt.random_raw(w).view(np.int16)[_HIGH_HALF::4])
+    state = mt.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+    return ops
+
+
+def _accept_words(count: int, high_halves: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The rejection loop of ``_draw_operands`` over ``high_halves(w)``, the
+    int16 high halves of the generator's next w words."""
+    parts = [np.empty(0, dtype=np.int16)]
     missing = count
     while missing:
-        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
-        candidates = np.frombuffer(words, "<u4") >> shift
-        accepted = candidates[candidates < width]
+        hi = high_halves(missing)
+        # Indexing by nonzero() beats a boolean mask at every size here: the
+        # mask's data-dependent branches mispredict on random words.
+        accepted = hi[(hi >= 0).nonzero()[0]]
         parts.append(accepted)
         missing -= len(accepted)
-    return np.concatenate(parts).astype(np.int64) + OPERAND_MIN
+    return (np.concatenate(parts) >> 7).astype(np.int64) + OPERAND_MIN
 
 
 def make_gemm(shape: GemmShape, seed: int) -> tuple[Matrix, Matrix]:

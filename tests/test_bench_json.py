@@ -53,6 +53,20 @@ def test_summary_of_paired_runs(tmp_path):
     for key in bench_json.METRICS:
         assert routine["parent"][key] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
         assert routine["change"][key] == {"median": 1.5, "q1": 1.0, "q3": 2.0}
+        assert routine["wins"][key] == {"change": 5, "parent": 0}
+
+
+def test_pair_wins_count_lower_values_and_no_ties(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # Seeds 1-2 the change wins, seed 3 ties, seed 4 the parent wins.
+    for seed, (before, after) in enumerate(((2.0, 1.0), (5.0, 4.5), (3.0, 3.0), (1.0, 1.5)), 1):
+        write_report(parent, "inner-product", seed, "aaa", before)
+        write_report(change, "inner-product", seed, "bbb", after)
+    out = tmp_path / "BENCH_4.json"
+    assert bench_json.main(args(4, parent, change, out)) == 0
+    wins = json.loads(out.read_text())["workloads"]["inner-product"]["wins"]
+    assert list(wins) == list(bench_json.METRICS)
+    assert all(w == {"change": 2, "parent": 1} for w in wins.values())
 
 
 @pytest.mark.parametrize("defect", ["traced", "mixed-commits"])

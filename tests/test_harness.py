@@ -595,6 +595,45 @@ def test_sweep_axis_into_non_object_section_is_config_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, bad, axis",
+    [
+        ("workload", "m", "not a number", [4]),
+        ("workload", "seed", 1.5, [0]),
+        ("workload", "kind", "matrix", ["gemm"]),
+        ("arch", "rows", 0, [4]),
+        ("arch", "type", ["systolic"], ["systolic"]),
+        ("arch", "fanout", 1, [2]),  # a key of another arch type is checked too
+    ],
+)
+def test_sweep_checks_base_values_an_axis_overrides(tmp_path, capsys, section, key, bad, axis):
+    payload = simulate_config(tmp_path / "out")
+    payload.update(kind="sweep", grid={f"{section}.{key}": axis})
+    payload[section][key] = bad
+    assert cli.main(["sweep", str(write_config(tmp_path, payload))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gemmsim: config error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_base_may_omit_keys_the_grid_supplies(tmp_path):
+    payload = simulate_config(tmp_path / "out")
+    del payload["workload"]["m"], payload["arch"]["rows"]
+    payload.update(kind="sweep", grid={"workload.m": [4, 8], "arch.rows": [2]})
+    assert cli.main(["sweep", str(write_config(tmp_path, payload))]) == 0
+    rows = read_rows(tmp_path / "out" / "report.csv")
+    assert [(r["m"], r["arch_params"]) for r in rows] == [
+        ("4", "rows=2 cols=4"),
+        ("8", "rows=2 cols=4"),
+    ]
+
+
+def test_shared_arch_keys_have_one_minimum_and_converter():
+    for arch in config.ARCHS.values():
+        for key, _, minimum, convert in arch.keys:
+            assert config.ARCH_FIELDS[key] == (minimum, convert), key
+
+
 GEMM = {"m": 4, "n": 4, "k": 2}
 INNER_PRODUCT = {"kind": "inner_product", "n": 10}
 

@@ -1,10 +1,15 @@
 """Workload types, the reference oracle, and the outer-product schedule."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gemmsim
 from gemmsim import (
     GemmShape,
     Matrix,
@@ -13,7 +18,7 @@ from gemmsim import (
     outer_product_schedule,
     reference_matmul,
 )
-from gemmsim.workload import _draw_operands
+from gemmsim.workload import NUMPY_DRAW_MIN, _draw_operands
 
 
 def outer_product_sum(steps, m, n):
@@ -127,28 +132,76 @@ def test_make_gemm_operand_range():
     assert all(-128 <= e <= 127 for e in a.data.tolist() + b.data.tolist())
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
-def test_operand_draws_match_randint(seed):
-    expected_rng, rng = random.Random(seed), random.Random(seed)
-    for count in (0, 1, 3, 1000):
-        drawn = _draw_operands(rng, count)
-        assert drawn.tolist() == [expected_rng.randint(-128, 127) for _ in range(count)]
-        # The generator must be left where randint leaves it.
-        assert rng.random() == expected_rng.random()
-
-
 def randint_draws(rng, count):
     return [rng.randint(-128, 127) for _ in range(count)]
 
 
-@pytest.mark.parametrize("seed", [3, 2**40 + 1])
-def test_multi_round_draw_matches_randint(seed):
-    # About half the words are rejected, so 100 000 values take ~17 rounds.
+# How each generator is advanced before the draws: a fresh generator sits at
+# pos 624; one word and 700 words leave pos at 1 and 76; gauss() leaves
+# gauss_next set, which the draws must carry over untouched.
+PRELUDES = {
+    "fresh": lambda rng: None,
+    "1 word": lambda rng: rng.getrandbits(32),
+    "700 words": lambda rng: rng.getrandbits(32 * 700),
+    "gauss_next set": lambda rng: rng.gauss(),
+}
+# Every seed kind (zero, negative, multi-word key) and every prelude, at least once.
+CASES = [
+    (0, "fresh"),
+    (1, "1 word"),
+    (7, "700 words"),
+    (2**31 + 5, "gauss_next set"),
+    (-5, "700 words"),
+    (2**40 + 1, "1 word"),
+    (-(2**40), "gauss_next set"),
+]
+MULTI_ROUND_CASES = [(3, "fresh"), (-5, "gauss_next set"), (2**40 + 1, "700 words")]
+
+
+def ids(cases):
+    return [str(seed) for seed, _ in cases]
+
+
+def assert_draws_match_randint(seed, prelude, counts):
     expected_rng, rng = random.Random(seed), random.Random(seed)
-    drawn = _draw_operands(rng, 100_000)
-    assert drawn.dtype == np.int64
-    assert drawn.tolist() == randint_draws(expected_rng, 100_000)
-    assert rng.getstate() == expected_rng.getstate()
+    PRELUDES[prelude](expected_rng)
+    PRELUDES[prelude](rng)
+    for count in counts:
+        drawn = _draw_operands(rng, count)
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == randint_draws(expected_rng, count)
+        # The generator must be left where randint leaves it.
+        assert rng.getstate() == expected_rng.getstate()
+    assert rng.gauss() == expected_rng.gauss()
+
+
+@pytest.mark.parametrize("seed, prelude", CASES, ids=ids(CASES))
+def test_operand_draws_match_randint(seed, prelude):
+    # Both word sources: getrandbits below NUMPY_DRAW_MIN, MT19937 from it on.
+    t = NUMPY_DRAW_MIN
+    assert_draws_match_randint(seed, prelude, (0, 1, 3, 1000, t - 1, t, t + 1))
+
+
+@pytest.mark.parametrize("seed, prelude", MULTI_ROUND_CASES, ids=ids(MULTI_ROUND_CASES))
+def test_multi_round_draw_matches_randint(seed, prelude):
+    # About half the words are rejected, so 100 000 values take ~17 rounds.
+    assert_draws_match_randint(seed, prelude, (100_000,))
+
+
+def test_small_draws_never_import_numpy_random():
+    # numpy.random costs ~6 MB of RSS; only draws of NUMPY_DRAW_MIN or more need it.
+    code = (
+        "import sys\n"
+        "from gemmsim import GemmShape, make_gemm, make_vectors\n"
+        "make_gemm(GemmShape(64, 64, 64), 1)\n"
+        "make_vectors(4096, 2)\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    src = str(Path(gemmsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 5, 2), (17, 4, 9), (64, 64, 64)])

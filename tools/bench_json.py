@@ -10,7 +10,8 @@ Each directory holds the untraced ``report-*.json`` files that
 workload and seed, and unpaired runs are left out.  For every workload the
 output records, per side, the median and quartiles of each end-to-end
 metric over the paired runs, with the seeds, their count, the side's commit
-and the environment perfbench reported.  A traced report, or reports of
+and the environment perfbench reported.  Per metric it also counts the
+pairs each side won, lower being better; a tie counts for neither.  A traced report, or reports of
 more than one commit on one side, is an error: the summary would mix unlike
 runs.
 """
@@ -23,7 +24,7 @@ import statistics
 import sys
 from pathlib import Path
 
-METRICS = ("pass_s", "cpu_s", "setup_s", "peak_rss_mb")
+METRICS = ("pass_s", "cpu_s", "setup_s", "peak_rss_mb")  # lower is better for each
 
 
 class BenchError(Exception):
@@ -63,11 +64,17 @@ def summarise(parent_dir: Path, change_dir: Path, pr: int) -> dict:
         if not seeds:
             continue
         entry: dict = {"pairs": len(seeds), "seeds": seeds}
+        values = {}
         for side, (commit, runs) in sides.items():
-            reports = [runs[name][seed] for seed in seeds]
-            metrics = [r["result"]["metrics"] for r in reports]
-            entry[side] = {"commit": commit} | {
-                key: spread([m[key]["value"] for m in metrics]) for key in METRICS
+            metrics = [runs[name][seed]["result"]["metrics"] for seed in seeds]
+            values[side] = {key: [m[key]["value"] for m in metrics] for key in METRICS}
+            entry[side] = {"commit": commit} | {key: spread(values[side][key]) for key in METRICS}
+        entry["wins"] = {}
+        for key in METRICS:
+            pairs = list(zip(values["parent"][key], values["change"][key]))
+            entry["wins"][key] = {
+                "change": sum(c < p for p, c in pairs),
+                "parent": sum(p < c for p, c in pairs),
             }
         env = dict(sides["change"][1][name][seeds[0]]["environment"])
         del env["seed"], env["commit"]

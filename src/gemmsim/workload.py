@@ -150,6 +150,13 @@ def resolve_vector_operands(
 # crossover measured on a 2-core x86 host); this is the next power of two.
 NUMPY_DRAW_MIN = 2**15
 
+# A round draws at most this many words.  Capping it keeps each round's
+# buffers at a fixed, cache-sized length, so a draw's memory does not depend
+# on how many words the seed happens to reject: uncapped, the first round of
+# a 2^21-value draw took 16 MB and the sizes of the later rounds varied with
+# the seed, and so did the process's peak RSS (by ~10 MB across seeds).
+DRAW_ROUND_WORDS = 2**16
+
 # Index of a word's high 16 bits among the int16 views of a native uint64.
 _HIGH_HALF = 1 if sys.byteorder == "little" else 2
 
@@ -160,8 +167,9 @@ def _draw_operands(rng: random.Random, count: int) -> np.ndarray:
     ``randint`` keeps the top 9 bits of one 32-bit Mersenne Twister word and
     rejects values >= 256, that is, words with the top bit set.  So a word's
     high 16 bits, read as int16, are kept when >= 0 and give the value
-    ``(hi >> 7) + OPERAND_MIN``.  Each round draws only as many words as
-    values are still missing, so no word is drawn past the last accepted one.
+    ``(hi >> 7) + OPERAND_MIN``.  Each round draws as many words as values
+    are still missing, at most ``DRAW_ROUND_WORDS``, so no word is drawn past
+    the last accepted one.
 
     The words come from ``rng.getrandbits(32 * w)``, which returns the next
     w words little-endian, or, for at least ``NUMPY_DRAW_MIN`` values, from
@@ -189,17 +197,20 @@ def _draw_operands(rng: random.Random, count: int) -> np.ndarray:
 
 def _accept_words(count: int, high_halves: Callable[[int], np.ndarray]) -> np.ndarray:
     """The rejection loop of ``_draw_operands`` over ``high_halves(w)``, the
-    int16 high halves of the generator's next w words."""
-    parts = [np.empty(0, dtype=np.int16)]
-    missing = count
-    while missing:
-        hi = high_halves(missing)
+    int16 high halves of the generator's next w words, filling one output
+    array in place."""
+    ops = np.empty(count, dtype=np.int64)
+    filled = 0
+    while filled < count:
+        hi = high_halves(min(count - filled, DRAW_ROUND_WORDS))
         # Indexing by nonzero() beats a boolean mask at every size here: the
         # mask's data-dependent branches mispredict on random words.
         accepted = hi[(hi >= 0).nonzero()[0]]
-        parts.append(accepted)
-        missing -= len(accepted)
-    return (np.concatenate(parts) >> 7).astype(np.int64) + OPERAND_MIN
+        ops[filled : filled + len(accepted)] = accepted
+        filled += len(accepted)
+    ops >>= 7
+    ops += OPERAND_MIN
+    return ops
 
 
 def make_gemm(shape: GemmShape, seed: int) -> tuple[Matrix, Matrix]:

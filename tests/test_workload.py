@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from gemmsim import (
     outer_product_schedule,
     reference_matmul,
 )
-from gemmsim.workload import NUMPY_DRAW_MIN, _draw_operands
+from gemmsim.workload import DRAW_ROUND_WORDS, NUMPY_DRAW_MIN, _draw_operands
 
 
 def outer_product_sum(steps, m, n):
@@ -184,8 +185,25 @@ def test_operand_draws_match_randint(seed, prelude):
 
 @pytest.mark.parametrize("seed, prelude", MULTI_ROUND_CASES, ids=ids(MULTI_ROUND_CASES))
 def test_multi_round_draw_matches_randint(seed, prelude):
-    # About half the words are rejected, so 100 000 values take ~17 rounds.
+    # About half the words are rejected, so 100 000 values take ~18 rounds,
+    # the first ones capped at DRAW_ROUND_WORDS.
     assert_draws_match_randint(seed, prelude, (100_000,))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_large_draw_peaks_at_output_plus_one_round(seed):
+    # Capped rounds keep a draw's memory the same whatever the seed rejects:
+    # the int64 output plus one round's buffers (8 bytes a word drawn, 1 of
+    # mask, up to 8 of index and 2 of accepted value).
+    count = 2**21
+    _draw_operands(random.Random(0), NUMPY_DRAW_MIN)  # imports numpy.random
+    tracemalloc.start()
+    try:
+        _draw_operands(random.Random(seed), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * count <= peak < 8 * count + 32 * DRAW_ROUND_WORDS
 
 
 def test_small_draws_never_import_numpy_random():

@@ -150,11 +150,10 @@ def resolve_vector_operands(
 # crossover measured on a 2-core x86 host); this is the next power of two.
 NUMPY_DRAW_MIN = 2**15
 
-# A round draws at most this many words.  Capping it keeps each round's
-# buffers at a fixed, cache-sized length, so a draw's memory does not depend
-# on how many words the seed happens to reject: uncapped, the first round of
-# a 2^21-value draw took 16 MB and the sizes of the later rounds varied with
-# the seed, and so did the process's peak RSS (by ~10 MB across seeds).
+# A round draws at most this many words, so its buffers keep one small size
+# whatever the seed rejects.  Rounds sized by the whole draw make a 2^21-value
+# draw's buffers tens of MB, sized by the seed, and the process's peak RSS
+# then differs by ~10 MB from one seed to another.
 DRAW_ROUND_WORDS = 2**16
 
 # Index of a word's high 16 bits among the int16 views of a native uint64.

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .. import bounds, meshflow, streamer, summa, systolic
 from .. import workload as workload_mod
@@ -26,16 +26,6 @@ SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "GEMMSIM_OUTPUT_DIR"
 
 REQUIRED = object()  # default of a key that every spec of its type must give
-# Integer fields of each workload kind: (key, default or REQUIRED, minimum).
-WORKLOAD_KINDS = {
-    "gemm": (("m", REQUIRED, 1), ("n", REQUIRED, 1), ("k", REQUIRED, 1), ("seed", 0, None),
-             ("block_width", 1, 1)),
-    "inner_product": (("n", REQUIRED, 1), ("seed", 0, None)),
-}
-WORKLOAD_MINIMUMS = {
-    key: minimum for fields in WORKLOAD_KINDS.values() for key, _, minimum in fields
-}
-WORKLOAD_KEYS = {"kind", *WORKLOAD_MINIMUMS}
 BOUNDS_KEYS = ("inputs", "outputs", "computations", "dimension")
 
 
@@ -96,26 +86,6 @@ def _check_known_keys(cfg: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in {where}")
 
 
-def _workload_kind(kind: Any) -> str:
-    if not isinstance(kind, str) or kind not in WORKLOAD_KINDS:
-        raise ConfigError(f"workload kind must be 'gemm' or 'inner_product', got {kind!r}")
-    return kind
-
-
-def resolve_workload(raw: Any) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("key 'workload' must be an object")
-    _check_known_keys(raw, WORKLOAD_KEYS, "workload")
-    kind = raw.get("kind")
-    if kind is None:
-        kind = "gemm" if "m" in raw or "k" in raw else "inner_product"
-    out = {"kind": _workload_kind(kind)}
-    for key, default, minimum in WORKLOAD_KINDS[kind]:
-        value = _require(raw, key, "workload") if default is REQUIRED else raw.get(key, default)
-        out[key] = _as_int(value, key, minimum)
-    return out
-
-
 def _as_positive(value: Any, key: str, minimum: None = None) -> float:
     value = _as_number(value, key)
     if value <= 0:
@@ -123,28 +93,59 @@ def _as_positive(value: Any, key: str, minimum: None = None) -> float:
     return value
 
 
-def _arch_type(arch_type: Any) -> str:
-    if not isinstance(arch_type, str) or arch_type not in ARCHS:
-        raise ConfigError(f"arch type must be one of {tuple(ARCHS)}, got {arch_type!r}")
-    return arch_type
+def _as_variant(value: Any, key: str, variants: dict) -> str:
+    """Convert a section's tag: a workload's 'kind' or an arch's 'type'."""
+    if not isinstance(value, str) or value not in variants:
+        section = "workload" if key == "kind" else "arch"
+        raise ConfigError(f"{section} {key} must be one of {tuple(variants)}, got {value!r}")
+    return value
+
+
+# Fields of each workload kind: (key, default or REQUIRED, minimum, converter).
+WORKLOAD_KINDS = {
+    "gemm": (("m", REQUIRED, 1, _as_int), ("n", REQUIRED, 1, _as_int), ("k", REQUIRED, 1, _as_int),
+             ("seed", 0, None, _as_int), ("block_width", 1, 1, _as_int)),
+    "inner_product": (("n", REQUIRED, 1, _as_int), ("seed", 0, None, _as_int)),
+}
+
+
+def _check_section(raw: Any, section: str) -> None:
+    """Check each value of a workload or arch section, whether its variant uses the key or not."""
+    if not isinstance(raw, dict):
+        raise ConfigError("key 'workload' must be an object" if section == "workload"
+                          else "arch spec must be an object")
+    fields = SECTION_FIELDS[section]
+    _check_known_keys(raw, set(fields), section)
+    for key, value in raw.items():
+        if value is not None or key != "kind":  # a null kind is inferred
+            minimum, convert = fields[key]
+            convert(value, key, minimum)
+
+
+def _fill(raw: dict, fields: tuple, section: str, workload: dict | None = None) -> dict:
+    """Apply a variant's defaults: its keys in order, with their converted values."""
+    out: dict[str, Any] = {}
+    for key, default, minimum, convert in fields:
+        if callable(default):
+            default = default(workload, out)
+        value = _require(raw, key, section) if default is REQUIRED else raw.get(key, default)
+        out[key] = convert(value, key, minimum)
+    return out
+
+
+def resolve_workload(raw: Any) -> dict:
+    _check_section(raw, "workload")
+    kind = raw.get("kind") or ("gemm" if "m" in raw or "k" in raw else "inner_product")
+    return {"kind": kind, **_fill(raw, WORKLOAD_KINDS[kind], "workload")}
 
 
 def resolve_arch(raw: Any, workload: dict) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("arch spec must be an object")
-    _check_known_keys(raw, ARCH_KEYS, "arch")
-    arch_type = _arch_type(_require(raw, "type", "arch"))
+    _check_section(raw, "arch")
+    arch_type = _require(raw, "type", "arch")
     spec = ARCHS[arch_type]
     if workload["kind"] != spec.workload:
         raise ConfigError(f"arch '{arch_type}' requires workload kind '{spec.workload}'")
-
-    out: dict[str, Any] = {"type": arch_type}
-    for key, default, minimum, convert in spec.keys:
-        if callable(default):
-            default = default(workload, out)
-        value = _require(raw, key, "arch") if default is REQUIRED else raw.get(key, default)
-        out[key] = convert(value, key, minimum)
-    return out
+    return {"type": arch_type, **_fill(raw, spec.keys, "arch", workload)}
 
 
 def _resolve_output(raw: Any) -> dict:
@@ -184,10 +185,9 @@ def _resolve_grid(raw: Any) -> dict:
         raise ConfigError("sweep requires a non-empty 'grid' object")
     for key, values in raw.items():
         section, _, field = key.partition(".")
-        if section not in ("workload", "arch") or not field:
+        if section not in SECTION_FIELDS or not field:
             raise ConfigError(f"grid key '{key}' must look like 'workload.<field>' or 'arch.<field>'")
-        allowed = WORKLOAD_KEYS if section == "workload" else ARCH_KEYS
-        if field not in allowed:
+        if field not in SECTION_FIELDS[section]:
             raise ConfigError(f"grid key '{key}' names an unknown {section} field")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid key '{key}' must map to a non-empty list")
@@ -206,8 +206,7 @@ def _sweep_points(resolved: dict) -> list[tuple[dict, dict]]:
         point = copy.deepcopy({"workload": resolved["workload"], "arch": resolved["arch"]})
         for key, value in zip(grid, combo):
             section, _, field = key.partition(".")
-            if isinstance(point[section], dict):  # otherwise its resolver rejects it below
-                point[section][field] = value
+            point[section][field] = value
         workload = resolve_workload(point["workload"])
         points.append((workload, resolve_arch(point["arch"], workload)))
     return points
@@ -230,31 +229,11 @@ def _resolve_sweep(raw: dict) -> dict:
         "arch": _require(raw, "arch", "config"),
         "grid": _resolve_grid(_require(raw, "grid", "config")),
     }
-    _check_base_values(resolved["workload"], resolved["arch"])
+    # Points resolve the base with their axis values put in, so a base value
+    # an axis overrides is checked only here.  The grid may supply absent keys.
+    for section in SECTION_FIELDS:
+        _check_section(resolved[section], section)
     return resolved
-
-
-def _check_base_values(workload: Any, arch: Any) -> None:
-    """Check every value a sweep's base sections give, also one an axis overrides.
-
-    Each point resolves the base with its axis values put in, so an
-    overridden base value is checked nowhere else.  Keys the grid supplies
-    may be absent from the base; a base that is not an object is left to the
-    points' resolvers.
-    """
-    if isinstance(workload, dict):
-        for key, value in workload.items():
-            if key == "kind" and value is not None:
-                _workload_kind(value)
-            elif key in WORKLOAD_MINIMUMS:
-                _as_int(value, key, WORKLOAD_MINIMUMS[key])
-    if isinstance(arch, dict):
-        for key, value in arch.items():
-            if key == "type":
-                _arch_type(value)
-            elif key in ARCH_FIELDS:
-                minimum, convert = ARCH_FIELDS[key]
-                convert(value, key, minimum)
 
 
 def _resolve_bounds(raw: dict) -> dict:
@@ -494,14 +473,21 @@ ARCHS = {
     ),
 }
 
-# Minimum and converter of each arch key; arch types sharing a key agree on both.
-ARCH_FIELDS = {
-    key: (minimum, convert) for arch in ARCHS.values() for key, _, minimum, convert in arch.keys
-}
-# Union of keys any arch spec may carry.  Keys irrelevant to the selected
-# type are tolerated so one base spec can be swept across types; anything
-# outside this set is a config error.
-ARCH_KEYS = {"type", *ARCH_FIELDS}
+
+def _field_table(tag: str, variants: dict, field_lists: Iterable[tuple]) -> dict:
+    """Minimum and converter of each key any variant may carry; variants sharing a key agree.
+
+    The tag key's converter takes the variant table in place of a minimum.
+    """
+    table = {tag: (variants, _as_variant)}
+    for fields in field_lists:
+        table.update((key, (minimum, convert)) for key, _, minimum, convert in fields)
+    return table
+
+
+WORKLOAD_FIELDS = _field_table("kind", WORKLOAD_KINDS, WORKLOAD_KINDS.values())
+ARCH_FIELDS = _field_table("type", ARCHS, (arch.keys for arch in ARCHS.values()))
+SECTION_FIELDS = {"workload": WORKLOAD_FIELDS, "arch": ARCH_FIELDS}
 
 
 class Kind(NamedTuple):

@@ -59,8 +59,11 @@ def simulate_summa(shape: GemmShape, block_width: int, cluster: ClusterModel) ->
     Block heights/widths use ceiling partitioning when the matrix does not
     divide the grid, and each step's cost uses the actual bytes of its
     (possibly ragged) blocks.  Computation and communication do not overlap:
-    total_time = comp_time + comm_time.
+    total_time = comp_time + comm_time.  Pricing takes O(1) time in k; an
+    infinite cost raises OverflowError.
     """
+    from fractions import Fraction  # imported here: no other model needs it
+
     if block_width < 1:
         raise ValueError(f"block width must be >= 1, got {block_width}")
     m, n, k = shape.m, shape.n, shape.k
@@ -68,19 +71,26 @@ def simulate_summa(shape: GemmShape, block_width: int, cluster: ClusterModel) ->
     cols_per_node = math.ceil(n / cluster.p_cols)
     eb = cluster.element_bytes
     b = min(block_width, k)
-    widths = [min(b, k - lo) for lo in range(0, k, b)]
-    steps = len(widths)
+    full, ragged = divmod(k, b)
+    steps = full + (ragged > 0)
 
-    def comm(model: CommModel) -> float:
-        """Both broadcasts of every step under the given link model, summed exactly."""
-        return math.fsum(
-            collective_cost(CollectiveKind.BROADCAST, participants, nbytes, model)
-            for width in widths
+    def step(width: int, model: CommModel) -> Fraction:
+        """Exact cost of one step's two broadcasts, for blocks of the given width."""
+        return sum(
+            Fraction(collective_cost(CollectiveKind.BROADCAST, participants, nbytes, model))
             for participants, nbytes in (
                 (cluster.p_cols, rows_per_node * width * eb),
                 (cluster.p_rows, width * cols_per_node * eb),
             )
         )
+
+    def comm(model: CommModel) -> float:
+        """Every step's cost, summed exactly and rounded once, as math.fsum would.
+
+        Full-width steps all cost the same.  A width-0 step would still pay
+        alpha, so the ragged step is added only if there is one.
+        """
+        return float(full * step(b, model) + (step(ragged, model) if ragged else 0))
 
     comm_time = comm(cluster.comm)
     comp_time = shape.macs / (cluster.num_nodes * cluster.node_mac_rate)

@@ -147,6 +147,15 @@ BAD_CONFIGS = [
          f"the sweep command needs kind 'sweep' or 'darksilicon', got '{kind}'")
         for kind in ("simulate", "compare", "bounds", "validate")
     ],
+    # A value is checked whether or not the chosen arch type or workload kind uses its key.
+    ("unused-arch-key", "run", config("simulate", arch=dict(SYSTOLIC, fanout="junk")), 2,
+     "key 'fanout' must be an integer, got 'junk'"),
+    ("unused-workload-key", "run",
+     config("simulate", workload={"kind": "inner_product", "n": 4, "m": "junk"},
+            arch={"type": "chain"}),
+     2, "key 'm' must be an integer, got 'junk'"),
+    ("unused-compare-arch-key", "run", config("compare", archs=[dict(SYSTOLIC, pes=-3)]), 2,
+     "key 'pes' must be >= 1, got -3"),
     ("infeasible-streamer", "run",
      config("simulate", workload={"m": 2, "n": 2, "k": 2}, arch={"type": "streamer", "pes": 16}),
      2, "point 1 of 1 is infeasible: key 'pes' must satisfy pes <= m*n (streamer pes=16 fanout=4 "

@@ -552,8 +552,13 @@ def test_version_command(capsys):
             "workload": {"m": 4, "n": 4, "k": 4},
             "arch": {"type": "summa", "p_rows": 2, "p_cols": 2, "alpha": 1e308, "beta": 1e308},
         },
+        {  # every broadcast costs inf seconds, which used to be reported with exit 0
+            "kind": "simulate",
+            "workload": {"m": 4, "n": 4, "k": 4},
+            "arch": {"type": "summa", "p_rows": 2, "p_cols": 2, "alpha": 0, "beta": 1e308},
+        },
     ],
-    ids=["darksilicon", "bounds", "summa"],
+    ids=["darksilicon", "bounds", "summa", "summa-infinite-cost"],
 )
 def test_model_overflow_maps_to_exit_3(tmp_path, capsys, payload):
     payload = dict(payload, schema_version=1, output={"dir": str(tmp_path / "out")})
@@ -632,6 +637,9 @@ def test_shared_arch_keys_have_one_minimum_and_converter():
     for arch in config.ARCHS.values():
         for key, _, minimum, convert in arch.keys:
             assert config.ARCH_FIELDS[key] == (minimum, convert), key
+    for fields in config.WORKLOAD_KINDS.values():
+        for key, _, minimum, convert in fields:
+            assert config.WORKLOAD_FIELDS[key] == (minimum, convert), key
 
 
 GEMM = {"m": 4, "n": 4, "k": 2}

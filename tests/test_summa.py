@@ -1,5 +1,9 @@
 """Analytic SUMMA model: step structure, cost components, scaling."""
 
+import math
+import random
+import time
+
 import pytest
 
 from gemmsim import (
@@ -137,3 +141,70 @@ def test_cluster_validation():
         ClusterModel(4, 4, CommModel(0, 0), 0.0)
     with pytest.raises(ValueError):
         ClusterModel(4, 4, CommModel(0, 0), 1e9, element_bytes=0)
+
+
+def fsum_reference(shape, block_width, cluster):
+    """The step-by-step pricing SUMMA used before: one fsum over every step's broadcasts."""
+    rows_per_node = math.ceil(shape.m / cluster.p_rows)
+    cols_per_node = math.ceil(shape.n / cluster.p_cols)
+    eb = cluster.element_bytes
+    b = min(block_width, shape.k)
+    widths = [min(b, shape.k - lo) for lo in range(0, shape.k, b)]
+
+    def comm(model):
+        return math.fsum(
+            collective_cost(CollectiveKind.BROADCAST, participants, nbytes, model)
+            for width in widths
+            for participants, nbytes in (
+                (cluster.p_cols, rows_per_node * width * eb),
+                (cluster.p_rows, width * cols_per_node * eb),
+            )
+        )
+
+    return (
+        len(widths),
+        comm(cluster.comm),
+        comm(CommModel(cluster.comm.alpha, 0.0)),
+        comm(CommModel(0.0, cluster.comm.beta)),
+    )
+
+
+def random_cases(count, seed):
+    rng = random.Random(seed)
+    alphas = (0.0, 1e-6, 2.5e-6, 0.1, 3.0)
+    betas = (0.0, 1e-9, 7.3e-10, 1e-3, 0.3)
+    for _ in range(count):
+        k = rng.randint(1, 300)
+        # Exact k, ragged k and block widths beyond k all occur.
+        block_width = rng.choice((1, rng.randint(1, k), k, k + rng.randint(1, 5), 7, 16))
+        shape = GemmShape(rng.randint(1, 90), rng.randint(1, 90), k)
+        cluster = ClusterModel(
+            rng.randint(1, 9),
+            rng.randint(1, 9),
+            CommModel(rng.choice(alphas) * rng.random(), rng.choice(betas) * rng.random()),
+            1e9,
+            element_bytes=rng.choice((1, 2, 4, 8)),
+        )
+        yield shape, block_width, cluster
+
+
+def test_step_count_pricing_matches_fsum_reference_bit_for_bit():
+    cases = list(random_cases(600, seed=2024))
+    assert any(c[0].k % min(c[1], c[0].k) for c in cases)  # ragged k
+    assert any(c[0].k % min(c[1], c[0].k) == 0 for c in cases)  # exact k
+    assert any(c[2].comm.alpha == 0.0 for c in cases) and any(c[2].comm.beta == 0.0 for c in cases)
+    for shape, block_width, cluster in cases:
+        res = simulate_summa(shape, block_width, cluster)
+        got = (res.steps, res.comm_time, res.comm_latency_time, res.comm_bandwidth_time)
+        assert got == fsum_reference(shape, block_width, cluster), (shape, block_width, cluster)
+        assert res.row_broadcasts == res.col_broadcasts == res.steps
+
+
+def test_long_k_prices_in_constant_time():
+    cluster = ClusterModel(2, 2, CommModel(1e-6, 1e-9), 1e9)
+    start = time.perf_counter()
+    res = simulate_summa(GemmShape(4, 4, 10**6), 1, cluster)
+    assert time.perf_counter() - start < 0.5  # pricing step by step took ~3 s
+    assert res.steps == 10**6
+    per_step = 2 * collective_cost(CollectiveKind.BROADCAST, 2, 2 * 1 * 4, cluster.comm)
+    assert res.comm_time == pytest.approx(10**6 * per_step, rel=1e-12)

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .. import bounds, meshflow, streamer, summa, systolic
 from .. import workload as workload_mod
@@ -35,9 +35,11 @@ class ConfigError(Exception):
 
 def load_config(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid UTF-8: {exc}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -93,59 +95,67 @@ def _as_positive(value: Any, key: str, minimum: None = None) -> float:
     return value
 
 
-def _as_variant(value: Any, key: str, variants: dict) -> str:
-    """Convert a section's tag: a workload's 'kind' or an arch's 'type'."""
-    if not isinstance(value, str) or value not in variants:
-        section = "workload" if key == "kind" else "arch"
-        raise ConfigError(f"{section} {key} must be one of {tuple(variants)}, got {value!r}")
-    return value
+# Minimum and converter of every key a workload or arch section may carry,
+# besides its tag ('kind' or 'type'), whether or not its variant uses the key.
+WORKLOAD_FIELDS = {"m": (1, _as_int), "n": (1, _as_int), "k": (1, _as_int),
+                   "seed": (None, _as_int), "block_width": (1, _as_int)}
+ARCH_FIELDS = {
+    "rows": (1, _as_int), "cols": (1, _as_int), "extent": (1, _as_int),
+    "hop_latency": (1, _as_int), "fanout": (2, _as_int), "level_latency": (1, _as_int),
+    "pes": (1, _as_int), "port_width": (1, _as_int), "p_rows": (1, _as_int),
+    "p_cols": (1, _as_int), "alpha": (0.0, _as_number), "beta": (0.0, _as_number),
+    "node_mac_rate": (None, _as_positive), "element_bytes": (1, _as_int),
+}
 
-
-# Fields of each workload kind: (key, default or REQUIRED, minimum, converter).
+# Keys of each workload kind in resolution order, with their defaults (or REQUIRED).
 WORKLOAD_KINDS = {
-    "gemm": (("m", REQUIRED, 1, _as_int), ("n", REQUIRED, 1, _as_int), ("k", REQUIRED, 1, _as_int),
-             ("seed", 0, None, _as_int), ("block_width", 1, 1, _as_int)),
-    "inner_product": (("n", REQUIRED, 1, _as_int), ("seed", 0, None, _as_int)),
+    "gemm": {"m": REQUIRED, "n": REQUIRED, "k": REQUIRED, "seed": 0, "block_width": 1},
+    "inner_product": {"n": REQUIRED, "seed": 0},
 }
 
 
-def _check_section(raw: Any, section: str) -> None:
-    """Check each value of a workload or arch section, whether its variant uses the key or not."""
+def _check_section(raw: Any, section: str) -> dict:
+    """Convert each value of a workload or arch section, whether its variant uses the key or not."""
     if not isinstance(raw, dict):
         raise ConfigError("key 'workload' must be an object" if section == "workload"
                           else "arch spec must be an object")
-    fields = SECTION_FIELDS[section]
-    _check_known_keys(raw, set(fields), section)
+    tag, variants, fields = SECTIONS[section]
+    _check_known_keys(raw, {tag, *fields}, section)
+    values = {}
     for key, value in raw.items():
-        if value is not None or key != "kind":  # a null kind is inferred
+        if key != tag:
             minimum, convert = fields[key]
-            convert(value, key, minimum)
+            values[key] = convert(value, key, minimum)
+        elif isinstance(value, str) and value in variants:
+            values[key] = value
+        elif value is not None or tag != "kind":  # a null kind is inferred
+            raise ConfigError(f"{section} {tag} must be one of {tuple(variants)}, got {value!r}")
+    return values
 
 
-def _fill(raw: dict, fields: tuple, section: str, workload: dict | None = None) -> dict:
-    """Apply a variant's defaults: its keys in order, with their converted values."""
+def _fill(given: dict, defaults: dict, section: str, workload: dict | None = None) -> dict:
+    """A variant's keys in order, with their given (converted) values or their defaults."""
     out: dict[str, Any] = {}
-    for key, default, minimum, convert in fields:
+    for key, default in defaults.items():
         if callable(default):
             default = default(workload, out)
-        value = _require(raw, key, section) if default is REQUIRED else raw.get(key, default)
-        out[key] = convert(value, key, minimum)
+        out[key] = _require(given, key, section) if default is REQUIRED else given.get(key, default)
     return out
 
 
 def resolve_workload(raw: Any) -> dict:
-    _check_section(raw, "workload")
-    kind = raw.get("kind") or ("gemm" if "m" in raw or "k" in raw else "inner_product")
-    return {"kind": kind, **_fill(raw, WORKLOAD_KINDS[kind], "workload")}
+    values = _check_section(raw, "workload")
+    kind = values.get("kind") or ("gemm" if "m" in values or "k" in values else "inner_product")
+    return {"kind": kind, **_fill(values, WORKLOAD_KINDS[kind], "workload")}
 
 
 def resolve_arch(raw: Any, workload: dict) -> dict:
-    _check_section(raw, "arch")
-    arch_type = _require(raw, "type", "arch")
+    values = _check_section(raw, "arch")
+    arch_type = _require(values, "type", "arch")
     spec = ARCHS[arch_type]
     if workload["kind"] != spec.workload:
         raise ConfigError(f"arch '{arch_type}' requires workload kind '{spec.workload}'")
-    return {"type": arch_type, **_fill(raw, spec.keys, "arch", workload)}
+    return {"type": arch_type, **_fill(values, spec.keys, "arch", workload)}
 
 
 def _resolve_output(raw: Any) -> dict:
@@ -157,9 +167,13 @@ def _resolve_output(raw: Any) -> dict:
     out_dir = raw.get("dir", ".")
     if not isinstance(out_dir, str):
         raise ConfigError("key 'dir' must be a string")
+    if "\0" in out_dir:
+        raise ConfigError("key 'dir' must not contain a NUL character")
     basename = raw.get("basename", "report")
     if not isinstance(basename, str) or not basename:
         raise ConfigError("key 'basename' must be a non-empty string")
+    if "\0" in basename:
+        raise ConfigError("key 'basename' must not contain a NUL character")
     if "/" in basename or os.sep in basename or basename in (".", ".."):
         raise ConfigError(f"key 'basename' must be a file name, not a path, got {basename!r}")
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
@@ -185,9 +199,10 @@ def _resolve_grid(raw: Any) -> dict:
         raise ConfigError("sweep requires a non-empty 'grid' object")
     for key, values in raw.items():
         section, _, field = key.partition(".")
-        if section not in SECTION_FIELDS or not field:
+        if section not in SECTIONS or not field:
             raise ConfigError(f"grid key '{key}' must look like 'workload.<field>' or 'arch.<field>'")
-        if field not in SECTION_FIELDS[section]:
+        tag, _, fields = SECTIONS[section]
+        if field != tag and field not in fields:
             raise ConfigError(f"grid key '{key}' names an unknown {section} field")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid key '{key}' must map to a non-empty list")
@@ -231,7 +246,7 @@ def _resolve_sweep(raw: dict) -> dict:
     }
     # Points resolve the base with their axis values put in, so a base value
     # an axis overrides is checked only here.  The grid may supply absent keys.
-    for section in SECTION_FIELDS:
+    for section in SECTIONS:
         _check_section(resolved[section], section)
     return resolved
 
@@ -370,16 +385,17 @@ def _validate_rows(resolved: dict) -> list[dict[str, Any]]:
 class Arch(NamedTuple):
     """One machine: its workload kind, its keys in resolution order, and its runner.
 
-    A key's default is REQUIRED, a value, or a function of the workload and
-    the keys before it.  Runners find simulators on their modules at call
-    time, so patched simulators run.  Mesh machines report the mesh bound of
-    their dimension beside their cycles.  feasible, where given, is the keys
-    a point must fit, the requirement they must meet, and its predicate over
-    the arch and the workload; every point is checked at resolution.
+    keys maps each key to its default: REQUIRED, a value, or a function of the
+    workload and the keys before it.  Runners find simulators on their modules
+    at call time, so patched simulators run.  Mesh machines report the mesh
+    bound of their dimension beside their cycles.  feasible, where given, is
+    the keys a point must fit, the requirement they must meet, and its
+    predicate over the arch and the workload; every point is checked at
+    resolution.
     """
 
     workload: str
-    keys: tuple[tuple[str, Any, float | None, Callable[..., Any]], ...]
+    keys: dict[str, Any]
     run: Callable[[dict, dict], Any]
     mesh_dimension: int | None = None
     feasible: tuple[str, str, Callable[[dict, dict], bool]] | None = None
@@ -392,14 +408,14 @@ def _operands(w: dict) -> tuple:
 ARCHS = {
     "systolic": Arch(
         "gemm",
-        (("rows", REQUIRED, 1, _as_int), ("cols", REQUIRED, 1, _as_int)),
+        {"rows": REQUIRED, "cols": REQUIRED},
         lambda arch, w: systolic.simulate_systolic_gemm(
             *_operands(w), systolic.SystolicConfig(arch["rows"], arch["cols"])
         ),
     ),
     "chain": Arch(
         "inner_product",
-        (("extent", lambda w, _: w["n"], 1, _as_int), ("hop_latency", 1, 1, _as_int)),
+        {"extent": lambda w, _: w["n"], "hop_latency": 1},
         lambda arch, w: meshflow.simulate_chain_reduction(
             w["n"], meshflow.MeshConfig.chain(arch["extent"], arch["hop_latency"]), seed=w["seed"]
         ),
@@ -408,11 +424,8 @@ ARCHS = {
     ),
     "grid": Arch(
         "inner_product",
-        (
-            ("rows", lambda w, _: meshflow.covering_side(w["n"]), 1, _as_int),
-            ("cols", lambda w, _: meshflow.covering_side(w["n"]), 1, _as_int),
-            ("hop_latency", 1, 1, _as_int),
-        ),
+        {"rows": lambda w, _: meshflow.covering_side(w["n"]),
+         "cols": lambda w, _: meshflow.covering_side(w["n"]), "hop_latency": 1},
         lambda arch, w: meshflow.simulate_grid_reduction(
             w["n"],
             meshflow.MeshConfig.grid(arch["rows"], arch["cols"], arch["hop_latency"]),
@@ -427,19 +440,15 @@ ARCHS = {
     ),
     "tree": Arch(
         "inner_product",
-        (("fanout", 2, 2, _as_int), ("level_latency", 1, 1, _as_int)),
+        {"fanout": 2, "level_latency": 1},
         lambda arch, w: streamer.simulate_tree_inner_product(
             w["n"], arch["fanout"], arch["level_latency"], seed=w["seed"]
         ),
     ),
     "streamer": Arch(
         "gemm",
-        (
-            ("pes", REQUIRED, 1, _as_int),
-            ("fanout", 4, 2, _as_int),
-            ("level_latency", 1, 1, _as_int),
-            ("port_width", lambda _, out: out["fanout"], 1, _as_int),
-        ),
+        {"pes": REQUIRED, "fanout": 4, "level_latency": 1,
+         "port_width": lambda _, out: out["fanout"]},
         lambda arch, w: streamer.simulate_cs_gemm(
             *_operands(w),
             streamer.build_ce_tree(
@@ -451,14 +460,8 @@ ARCHS = {
     ),
     "summa": Arch(
         "gemm",
-        (
-            ("p_rows", REQUIRED, 1, _as_int),
-            ("p_cols", REQUIRED, 1, _as_int),
-            ("alpha", 1e-6, 0.0, _as_number),
-            ("beta", 1e-9, 0.0, _as_number),
-            ("node_mac_rate", 1e9, None, _as_positive),
-            ("element_bytes", 4, 1, _as_int),
-        ),
+        {"p_rows": REQUIRED, "p_cols": REQUIRED, "alpha": 1e-6, "beta": 1e-9,
+         "node_mac_rate": 1e9, "element_bytes": 4},
         lambda arch, w: summa.simulate_summa(
             workload_mod.GemmShape(w["m"], w["n"], w["k"]),
             w["block_width"],
@@ -474,20 +477,9 @@ ARCHS = {
 }
 
 
-def _field_table(tag: str, variants: dict, field_lists: Iterable[tuple]) -> dict:
-    """Minimum and converter of each key any variant may carry; variants sharing a key agree.
-
-    The tag key's converter takes the variant table in place of a minimum.
-    """
-    table = {tag: (variants, _as_variant)}
-    for fields in field_lists:
-        table.update((key, (minimum, convert)) for key, _, minimum, convert in fields)
-    return table
-
-
-WORKLOAD_FIELDS = _field_table("kind", WORKLOAD_KINDS, WORKLOAD_KINDS.values())
-ARCH_FIELDS = _field_table("type", ARCHS, (arch.keys for arch in ARCHS.values()))
-SECTION_FIELDS = {"workload": WORKLOAD_FIELDS, "arch": ARCH_FIELDS}
+# Each section's tag key, its variants, and the rules of its other keys.
+SECTIONS = {"workload": ("kind", WORKLOAD_KINDS, WORKLOAD_FIELDS),
+            "arch": ("type", ARCHS, ARCH_FIELDS)}
 
 
 class Kind(NamedTuple):

@@ -137,10 +137,7 @@ def simulate_grid_reduction(
     max_len = min(cols, n)
     last_len = n - (occupied_rows - 1) * cols
 
-    products = np.zeros(occupied_rows * cols, dtype=np.int64)
-    np.multiply(a, b, out=products[:n])
-    row_sums = products.reshape(occupied_rows, cols).sum(axis=1)
-    total = int(row_sums.sum())
+    total = int(np.dot(a, b))
 
     stage = h + 1  # hop + MAC clock per reduction stage
     row_phase = 1 + (max_len - 1) * stage  # first MAC clock, then stages

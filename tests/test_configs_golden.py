@@ -156,6 +156,10 @@ BAD_CONFIGS = [
      2, "key 'm' must be an integer, got 'junk'"),
     ("unused-compare-arch-key", "run", config("compare", archs=[dict(SYSTOLIC, pes=-3)]), 2,
      "key 'pes' must be >= 1, got -3"),
+    ("nul-in-dir", "run", config("simulate", output={"dir": "o\u00003"}), 2,
+     "key 'dir' must not contain a NUL character"),
+    ("nul-in-basename", "run", config("simulate", output={"basename": "a\u0000b"}), 2,
+     "key 'basename' must not contain a NUL character"),
     ("infeasible-streamer", "run",
      config("simulate", workload={"m": 2, "n": 2, "k": 2}, arch={"type": "streamer", "pes": 16}),
      2, "point 1 of 1 is infeasible: key 'pes' must satisfy pes <= m*n (streamer pes=16 fanout=4 "

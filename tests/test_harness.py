@@ -115,6 +115,13 @@ def test_unreadable_config(tmp_path):
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 
 
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "utf16.json"
+    cfg.write_bytes(b"\xff\xfe" + json.dumps(simulate_config(tmp_path)).encode("utf-16-le"))
+    assert cli.main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"gemmsim: config error: config {cfg} is not valid UTF-8")
+
+
 def test_simulator_precondition_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     # Resolution rejects this point as infeasible; without that check the
     # simulator's own rejection must still map to exit 3.
@@ -633,13 +640,20 @@ def test_sweep_base_may_omit_keys_the_grid_supplies(tmp_path):
     ]
 
 
-def test_shared_arch_keys_have_one_minimum_and_converter():
-    for arch in config.ARCHS.values():
-        for key, _, minimum, convert in arch.keys:
-            assert config.ARCH_FIELDS[key] == (minimum, convert), key
-    for fields in config.WORKLOAD_KINDS.values():
-        for key, _, minimum, convert in fields:
-            assert config.WORKLOAD_FIELDS[key] == (minimum, convert), key
+def test_constant_defaults_are_already_converted():
+    # Resolution echoes defaults unconverted, so each must be its converter's
+    # output: alpha stays 1e-06, element_bytes stays an int.
+    sections = [(config.WORKLOAD_FIELDS, config.WORKLOAD_KINDS.values()),
+                (config.ARCH_FIELDS, [arch.keys for arch in config.ARCHS.values()])]
+    for fields, variants in sections:
+        for defaults in variants:
+            for key, default in defaults.items():
+                if default is config.REQUIRED or callable(default):
+                    continue
+                minimum, convert = fields[key]
+                converted = convert(default, key, minimum)
+                assert (converted, type(converted)) == (default, type(default)), key
+        assert set(fields) == {key for defaults in variants for key in defaults}
 
 
 GEMM = {"m": 4, "n": 4, "k": 2}

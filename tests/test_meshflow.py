@@ -1,6 +1,7 @@
 """Store-and-forward mesh reductions and their bound-respect behavior."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,20 @@ def test_grid_exactness_including_ragged():
         res = simulate_grid_reduction(n, operands=(a, b))
         assert res.scalar == dot(a, b)
 
+
+
+def test_grid_memory_follows_n_not_the_grid():
+    # A 16-element vector on a 1x10**7 grid: nothing the size of a grid row is built.
+    a, b = make_vectors(16, 5)
+    tracemalloc.start()
+    try:
+        res = simulate_grid_reduction(16, MeshConfig.grid(1, 10**7), operands=(a, b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert res.scalar == dot(a, b)
+    assert res.cycles == 1 + 15 * 2 + 1
 
 def test_grid_too_small_rejected():
     with pytest.raises(ValueError):

@@ -158,6 +158,16 @@ def resolve_arch(raw: Any, workload: dict) -> dict:
     return {"type": arch_type, **_fill(values, spec.keys, "arch", workload)}
 
 
+def _path_bytes(key: str, value: str) -> int:
+    """Length of a path value in file-system bytes; it must encode and hold no NUL."""
+    if "\0" in value:
+        raise ConfigError(f"key '{key}' must not contain a NUL character")
+    try:
+        return len(os.fsencode(value))
+    except UnicodeEncodeError:
+        raise ConfigError(f"key '{key}' cannot be encoded as a file name") from None
+
+
 def _resolve_output(raw: Any) -> dict:
     if raw is None:
         raw = {}
@@ -167,13 +177,11 @@ def _resolve_output(raw: Any) -> dict:
     out_dir = raw.get("dir", ".")
     if not isinstance(out_dir, str):
         raise ConfigError("key 'dir' must be a string")
-    if "\0" in out_dir:
-        raise ConfigError("key 'dir' must not contain a NUL character")
+    _path_bytes("dir", out_dir)
     basename = raw.get("basename", "report")
     if not isinstance(basename, str) or not basename:
         raise ConfigError("key 'basename' must be a non-empty string")
-    if "\0" in basename:
-        raise ConfigError("key 'basename' must not contain a NUL character")
+    basename_bytes = _path_bytes("basename", basename)
     if "/" in basename or os.sep in basename or basename in (".", ".."):
         raise ConfigError(f"key 'basename' must be a file name, not a path, got {basename!r}")
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
@@ -185,11 +193,23 @@ def _resolve_output(raw: Any) -> dict:
     # The report writer creates the directory; its nearest existing ancestor
     # must therefore be a directory.
     existing = Path(out_dir).absolute()
-    while not existing.exists():
-        existing = existing.parent
+    try:
+        while not existing.exists():
+            existing = existing.parent
+    except OSError as exc:  # a component longer than a file name, for one
+        raise ConfigError(
+            f"key 'dir': cannot create output directory {out_dir!r}: {exc.strerror}"
+        ) from None
     if not existing.is_dir():
         raise ConfigError(
             f"key 'dir': cannot create output directory {out_dir!r}: {existing} is not a directory"
+        )
+    # The longest file name the report writer makes is <basename>.meta.json.
+    name_max = os.pathconf(existing, "PC_NAME_MAX") if hasattr(os, "pathconf") else 255
+    if basename_bytes + len(".meta.json") > name_max:
+        raise ConfigError(
+            f"key 'basename' is too long: {basename_bytes} bytes, but '<basename>.meta.json' "
+            f"must fit in the file system's {name_max}-byte file names"
         )
     return {"dir": out_dir, "basename": basename}
 

@@ -50,8 +50,9 @@ def write_report(
         "row_count": len(rows),
         "report_columns": REPORT_COLUMNS,
     }
+    # Short fixed names, so any basename that fits a file name fits here too.
     tmp_csv, tmp_sidecar = (
-        path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in (csv_path, sidecar_path)
+        out_dir / f".gemmsim-{os.getpid()}{suffix}.tmp" for suffix in (".csv", ".meta.json")
     )
     try:
         with tmp_csv.open("w", newline="") as fh:

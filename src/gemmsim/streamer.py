@@ -19,6 +19,8 @@ import numpy as np
 from .bounds import CollectiveKind, tree_time
 from .results import SimResult, build_result
 from .workload import (
+    OPERAND_MAX,
+    OPERAND_MIN,
     Matrix,
     outer_product_schedule,
     require_operand_range,
@@ -27,6 +29,11 @@ from .workload import (
 
 DEFAULT_FANOUT = 4
 DEFAULT_LEVEL_LATENCY = 1
+
+# In-range products are at most 2^14 in magnitude, so every partial sum of a
+# dot product shorter than this is an integer below 2^53: float64 holds it
+# exactly, in whatever order BLAS adds.
+FLOAT64_EXACT_K = 2**53 // max(-OPERAND_MIN, OPERAND_MAX) ** 2
 
 
 @dataclass(frozen=True)
@@ -93,12 +100,12 @@ def _cs_transfer_counts(tree: CETree, m: int, n: int, k: int) -> dict[str, int]:
     apply to each of the k inner-dimension slices.
 
     Outputs are linearized row-major and split into num_pes contiguous,
-    balanced ranges: with base, extra = divmod(m*n, num_pes), the first extra
-    PEs own base + 1 outputs and the rest own base, so output i belongs to
-    PE max(i // (base+1), (i - extra) // base).  Owners never decrease along
-    a row or down a column, so the subtrees of g leaves needing row or column
-    slices number m + n plus the changes of owner // g along the rows and
-    down the columns.
+    balanced ranges: with base, extra = divmod(m*n, num_pes), PE q owns the
+    outputs from s_q = q*base + min(q, extra) up to s_(q+1).  Owners never
+    decrease along a row or down a column, so the subtrees of g leaves needing
+    row or column slices number m + n plus the changes of owner // g along
+    the rows and down the columns.  Those changes sit at the group starts s_q
+    for q = g, 2g, ... < num_pes, so each level costs O(num_pes / g).
     """
     levels, fanout = tree.levels, tree.fanout
     if levels == 0:
@@ -108,19 +115,24 @@ def _cs_transfer_counts(tree: CETree, m: int, n: int, k: int) -> dict[str, int]:
             "pe_to_pe": 0,
         }
 
-    base, extra = divmod(m * n, tree.num_pes)
-    owner = np.arange(-extra, m * n - extra) // base  # (i - extra) // base
-    owner = np.maximum(owner, np.arange(m * n) // (base + 1), out=owner).reshape(m, n)
+    outputs = m * n
+    base, extra = divmod(outputs, tree.num_pes)
 
     def subtrees(group: int) -> int:
-        g = owner // group
-        changes = np.count_nonzero(np.diff(g, axis=1)) + np.count_nonzero(np.diff(g, axis=0))
-        return m + n + int(changes)
+        # Owner groups change at the starts of PEs group, 2*group, ...
+        q = np.arange(group, tree.num_pes, group, dtype=np.int64)
+        starts = q * base + np.minimum(q, extra)
+        # A start inside a row splits that row once.
+        along_rows = np.count_nonzero(starts % n)
+        # Outputs u and u + n differ iff a start lies in (u, u + n]; count each
+        # such u < outputs - n once, at the first start that covers it.
+        prev = np.concatenate(([0], starts[:-1]))
+        down_cols = np.maximum(np.minimum(starts, outputs - n) - np.maximum(prev, starts - n), 0)
+        return m + n + int(along_rows) + int(down_cols.sum())
 
     ce_to_pe = subtrees(1)
     ce_to_ce_down = sum(subtrees(fanout**e) for e in range(levels - 1))
 
-    outputs = m * n
     return {
         "mem_to_ce": k * (m + n),
         "ce_to_ce": k * ce_to_ce_down + outputs * (levels - 1),
@@ -202,6 +214,11 @@ def simulate_cs_gemm(
     steady_state_utilization divides by the streaming span only, which makes
     it independent of the inner dimension for a fixed (m, n, P, W): there is
     no occupancy cliff at low k.
+
+    The steps fix the timing only; C itself is one float64 BLAS product,
+    exact because require_operand_range bounds every partial sum by k*2^14,
+    an integer below 2^53 while k < FLOAT64_EXACT_K.  Longer inner
+    dimensions fall back to an int64 product.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
@@ -219,9 +236,11 @@ def simulate_cs_gemm(
         """Clocks a step of width bw holds the machine: root port or busiest PE."""
         return max(-(-(m + n) * bw // width), owned_max * bw)
 
-    c_acc = np.zeros((m, n), dtype=np.int64)
-    for col, row in steps:
-        c_acc += col.to_numpy() @ row.to_numpy()
+    an, bn = a.to_numpy(), b.to_numpy()
+    if k < FLOAT64_EXACT_K:
+        c = (an.astype(np.float64) @ bn.astype(np.float64)).astype(np.int64)
+    else:
+        c = an @ bn
     widths = [col.cols for col, _ in steps]
     stream_cycles = sum(map(span, widths))
 
@@ -245,7 +264,7 @@ def simulate_cs_gemm(
     phases = {"fill": fill, "stream": stream_cycles, "drain": drain}
     return build_result(
         cycles,
-        Matrix.from_numpy(c_acc),
+        Matrix.from_numpy(c),
         mac_ops,
         tree.num_pes,
         steady_cycles=stream_cycles,

@@ -18,8 +18,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 # Operands are signed 8-bit-equivalent integers; accumulators are 64-bit
-# equivalent.  With |a*b| <= 128*128, an int64 accumulator cannot overflow
-# for any problem size this workbench can hold in memory.
+# equivalent.  With |a*b| <= 128*128 = 2^14, an int64 accumulator cannot
+# overflow for any problem size this workbench can hold in memory, and a
+# float64 one is exact while k < 2^53 / 2^14 = 2^39 (the streamer's product).
 OPERAND_MIN = -128
 OPERAND_MAX = 127
 

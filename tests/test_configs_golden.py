@@ -160,6 +160,12 @@ BAD_CONFIGS = [
      "key 'dir' must not contain a NUL character"),
     ("nul-in-basename", "run", config("simulate", output={"basename": "a\u0000b"}), 2,
      "key 'basename' must not contain a NUL character"),
+    ("surrogate-in-dir", "run", config("simulate", output={"dir": "o\ud800"}), 2,
+     "key 'dir' cannot be encoded as a file name"),
+    ("surrogate-in-basename", "run", config("simulate", output={"basename": "a\ud800"}), 2,
+     "key 'basename' cannot be encoded as a file name"),
+    ("over-long-dir", "run", config("simulate", output={"dir": "d" * 300}), 2,
+     f"key 'dir': cannot create output directory {'d' * 300!r}: File name too long"),
     ("infeasible-streamer", "run",
      config("simulate", workload={"m": 2, "n": 2, "k": 2}, arch={"type": "streamer", "pes": 16}),
      2, "point 1 of 1 is infeasible: key 'pes' must satisfy pes <= m*n (streamer pes=16 fanout=4 "

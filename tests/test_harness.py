@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,27 @@ def test_non_utf8_config_is_config_error(tmp_path, capsys):
     cfg.write_bytes(b"\xff\xfe" + json.dumps(simulate_config(tmp_path)).encode("utf-16-le"))
     assert cli.main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"gemmsim: config error: config {cfg} is not valid UTF-8")
+
+
+def test_over_long_basename_is_config_error(tmp_path, capsys):
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    fits = "b" * (name_max - len(".meta.json"))
+    payload = simulate_config(tmp_path / "out" / "sub")
+    for basename in ("b" * (name_max + 45), fits + "b"):
+        payload["output"]["basename"] = basename
+        cfg = write_config(tmp_path, payload)
+        assert cli.main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"gemmsim: config error: key 'basename' is too long: {len(basename)} bytes, but "
+            f"'<basename>.meta.json' must fit in the file system's {name_max}-byte file names\n"
+        )
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    # The longest basename that fits writes both reports.
+    payload["output"]["basename"] = fits
+    assert cli.main(["run", str(write_config(tmp_path, payload))]) == 0
+    written = sorted(path.name for path in (tmp_path / "out" / "sub").iterdir())
+    assert written == [f"{fits}.csv", f"{fits}.meta.json"]
 
 
 def test_simulator_precondition_maps_to_exit_3(tmp_path, capsys, monkeypatch):

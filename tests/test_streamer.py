@@ -8,6 +8,7 @@ from gemmsim import (
     CETree,
     CollectiveKind,
     GemmShape,
+    Matrix,
     SystolicConfig,
     build_ce_tree,
     make_gemm,
@@ -18,6 +19,7 @@ from gemmsim import (
     simulate_tree_inner_product,
     tree_collective_latency,
 )
+from gemmsim import streamer
 
 ALLOWED_LINKS = {
     "mem_to_ce",
@@ -121,6 +123,41 @@ def test_cs_gemm_exactness_random():
         res = simulate_cs_gemm(a, b, tree, rng.randint(1, shape.k))
         assert res.result == reference_matmul(a, b)
         assert res.mac_ops_issued == shape.macs
+
+
+def extreme_operands(m, n, k, mixed):
+    """Every operand -128, or -128 and 127 with the largest sums.
+
+    In the mixed case A[i][l] and B[l][j] for even j share one value per l,
+    so those outputs add k products of 127^2 or 128^2, all positive.
+    """
+    rng = random.Random(k)
+    pick = [rng.choice((-128, 127)) if mixed else -128 for _ in range(k)]
+    b = [pick[l] if j % 2 == 0 else rng.choice(pick) for l in range(k) for j in range(n)]
+    return Matrix(m, k, pick * m), Matrix(k, n, b)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("k", [4096, 10_000])
+def test_cs_gemm_float64_product_is_exact_at_extreme_operands(k, mixed):
+    assert k < streamer.FLOAT64_EXACT_K == 2**39
+    a, b = extreme_operands(3, 5, k, mixed)
+    res = simulate_cs_gemm(a, b, build_ce_tree(15), 256)
+    assert res.result == reference_matmul(a, b)
+    if not mixed:
+        assert set(res.result.data.tolist()) == {k * 128 * 128}
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_cs_gemm_int64_fallback_beyond_float64_exact_k(monkeypatch, mixed):
+    k = 4096
+    a, b = extreme_operands(3, 5, k, mixed)
+    tree = build_ce_tree(15)
+    as_float = simulate_cs_gemm(a, b, tree, 256)
+    monkeypatch.setattr(streamer, "FLOAT64_EXACT_K", k)
+    as_int = simulate_cs_gemm(a, b, tree, 256)
+    assert as_int.result == as_float.result == reference_matmul(a, b)
+    assert as_int == as_float
 
 
 def test_cs_gemm_pe_overcommit_rejected():

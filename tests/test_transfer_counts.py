@@ -1,14 +1,18 @@
-"""Differential test: streamer transfer counts against per-output need sets.
+"""Differential tests: streamer transfer counts against two references.
 
 ``_cs_transfer_counts`` counts the CE subtrees that need each operand slice
-from the changes of the owner grid along rows and columns.  The reference
-below enumerates the need sets output by output, with one ``owner_of``
-bisect per output over the partition's range starts and a set of group ids
-per column, and the two must agree exactly.
+from the owner-group starts of each tree level.  The first reference
+enumerates the need sets output by output, with one ``owner_of`` bisect per
+output over the partition's range starts and a set of group ids per column.
+The second is the counting it replaced: an m*n owner grid per level, whose
+changes along rows and down columns are counted with ``np.diff``.  It is
+cheap enough to reach 512x512 outputs, which the first is not.
 """
 
 from bisect import bisect_right
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +102,41 @@ def test_transfer_counts_match_need_set_enumeration(inst):
     res = simulate_cs_gemm(a, b, tree, block_width)
     assert res.transfer_counts == expected
     assert res.result == reference_matmul(a, b)
+
+
+def owner_grid_transfer_counts(tree, m, n, k):
+    levels, fanout = tree.levels, tree.fanout
+    if levels == 0:
+        return {"mem_to_pe": k * (m + n), "pe_to_mem": m * n, "pe_to_pe": 0}
+
+    base, extra = divmod(m * n, tree.num_pes)
+    owner = np.arange(-extra, m * n - extra) // base  # (i - extra) // base
+    owner = np.maximum(owner, np.arange(m * n) // (base + 1), out=owner).reshape(m, n)
+
+    def subtrees(group):
+        g = owner // group
+        changes = np.count_nonzero(np.diff(g, axis=1)) + np.count_nonzero(np.diff(g, axis=0))
+        return m + n + int(changes)
+
+    ce_to_pe = subtrees(1)
+    ce_to_ce_down = sum(subtrees(fanout**e) for e in range(levels - 1))
+
+    outputs = m * n
+    return {
+        "mem_to_ce": k * (m + n),
+        "ce_to_ce": k * ce_to_ce_down + outputs * (levels - 1),
+        "ce_to_pe": k * ce_to_pe,
+        "pe_to_ce": outputs,
+        "ce_to_mem": outputs,
+        "pe_to_pe": 0,
+    }
+
+
+@pytest.mark.parametrize("fanout", [2, 3, 4, 5])
+@pytest.mark.parametrize("m, n", [(256, 256), (512, 512)])
+def test_transfer_counts_match_owner_grid_at_large_shapes(m, n, fanout):
+    # One PE, one output per PE, and PE counts that leave ragged ranges.
+    for pes in (1, m * n, 1000, m * n - 1, 3 * n + 7):
+        assert (m * n) % pes != 0 or pes in (1, m * n)
+        tree = build_ce_tree(pes, fanout)
+        assert _cs_transfer_counts(tree, m, n, 64) == owner_grid_transfer_counts(tree, m, n, 64)

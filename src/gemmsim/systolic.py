@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .results import SimResult, build_result
-from .workload import GemmShape, Matrix, require_operand_range
+from .workload import OPERAND_MAX, OPERAND_MIN, GemmShape, Matrix, require_operand_range
+
+# In-range products are at most 2^14 in magnitude, and every partial sum and
+# every k-tile sum of the bottom rows adds at most k of them, so int32 state
+# holds each one exactly while k is below this.
+INT32_EXACT_K = 2**31 // max(-OPERAND_MIN, OPERAND_MAX) ** 2
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,9 @@ def simulate_systolic_gemm(
     element meets a real B element, so it totals m*n*k.  The tile passes are
     independent, so one clock loop advances all of them together; the trace
     is pass-major (k-tile major): R load zeros, then the pass's streaming
-    clocks.
+    clocks.  Like a TPU's 8-bit multipliers feeding 32-bit accumulators, the
+    array state is int32 while k < INT32_EXACT_K = 2^17, where no partial sum
+    can leave int32, and int64 from there on; the result is int64 either way.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
@@ -67,35 +74,54 @@ def simulate_systolic_gemm(
     kt, nt = -(-k // r_ext), -(-n // c_ext)
     stream_span = m + r_ext + c_ext - 2
 
+    # Narrow the operands first, so every array built from them is narrow too.
+    dtype = np.int32 if k < INT32_EXACT_K else np.int64
     # Injection schedule: at stream cycle s, array row r of k-tile t receives
     # A[s - r, t*R + r] (skewed wavefront), zero outside range.
-    a_np = a.to_numpy()
-    inject = np.zeros((stream_span, kt, r_ext), dtype=np.int64)
+    a_np = a.to_numpy().astype(dtype)
+    inject = np.zeros((stream_span, kt, r_ext), dtype=dtype)
     for r in range(min(r_ext, k)):
         cols = a_np[:, r::r_ext]
         inject[r : r + m, : cols.shape[1], r] = cols
     # weights[t, u] is the zero-padded B tile of pass (k-tile t, n-tile u).
     weights = (
-        np.pad(b.to_numpy(), ((0, kt * r_ext - k), (0, nt * c_ext - n)))
+        np.pad(b.to_numpy().astype(dtype), ((0, kt * r_ext - k), (0, nt * c_ext - n)))
         .reshape(kt, r_ext, nt, c_ext)
         .transpose(0, 2, 1, 3)
         .copy()
     )
 
-    a_reg, a_next = (np.zeros((kt, 1, r_ext, c_ext), dtype=np.int64) for _ in range(2))
-    psum, p_next = (np.zeros(weights.shape, dtype=np.int64) for _ in range(2))
-    bottom = np.empty((stream_span, nt, c_ext), dtype=np.int64)
-    for s in range(stream_span):
+    # Double-buffered A registers and partial sums: clock s writes buffer
+    # s & 1 from buffer 1 - (s & 1).  The views each clock touches are built
+    # once per parity.
+    a_buf = [np.zeros((kt, 1, r_ext, c_ext), dtype=dtype) for _ in range(2)]
+    p_buf = [np.zeros(weights.shape, dtype=dtype) for _ in range(2)]
+    steps = [
+        (
+            a_buf[j][:, 0, :, 0],
+            a_buf[j][..., 1:],
+            a_buf[1 - j][..., :-1],
+            a_buf[j],
+            p_buf[j],
+            p_buf[j][:, :, 1:],
+            p_buf[1 - j][:, :, :-1],
+            p_buf[j][:, :, -1],
+        )
+        for j in range(2)
+    ]
+    bottom = np.empty((stream_span, nt, c_ext), dtype=dtype)
+    for s, (a_in, p_out) in enumerate(zip(inject, bottom)):
+        a_west, a_east, a_from, a_next, p_next, p_south, p_from, p_bottom = steps[s & 1]
         # A moves one PE east; partial sums move one PE south and accumulate.
-        a_next[:, 0, :, 0] = inject[s]
-        a_next[..., 1:] = a_reg[..., :-1]
+        a_west[...] = a_in
+        a_east[...] = a_from
         np.multiply(a_next, weights, out=p_next)
-        p_next[:, :, 1:] += psum[:, :, :-1]
+        np.add(p_south, p_from, out=p_south)
         # The bottom row leaves the array; the k-tiles of an output add up.
-        p_next[:, :, -1].sum(axis=0, out=bottom[s])
-        a_reg, a_next = a_next, a_reg
-        psum, p_next = p_next, psum
-    del inject, weights, psum, p_next  # free the pass state before the result is copied
+        np.add.reduce(p_bottom, axis=0, out=p_out)
+    # Free the pass state before the result is copied.
+    del inject, weights, a_buf, p_buf, steps, a_in
+    del a_west, a_east, a_from, a_next, p_next, p_south, p_from, p_bottom
     # Column c of n-tile u finishes logical row i at stream cycle i + R - 1 + c.
     i, u, c = np.ogrid[:m, :nt, :c_ext]
     c_acc = bottom[i + r_ext - 1 + c, u, c]

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from test_streamer import extreme_operands
+
 from gemmsim import (
     GemmShape,
     Matrix,
@@ -12,6 +14,7 @@ from gemmsim import (
     make_gemm,
     reference_matmul,
     simulate_systolic_gemm,
+    systolic,
     systolic_cycle_formula,
 )
 
@@ -66,6 +69,37 @@ def test_ragged_tiles_stay_exact():
     res = simulate_systolic_gemm(a, b, cfg)
     assert res.result == reference_matmul(a, b)
     assert res.cycles == systolic_cycle_formula(shape, cfg)
+
+
+def test_int32_exact_k_bounds_the_largest_sum():
+    k = systolic.INT32_EXACT_K
+    assert k == 2**17
+    assert (k - 1) * 128**2 <= 2**31 - 1 < k * 128**2
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("rows, cols", [(64, 64), (1, 1)])
+def test_int32_state_is_exact_at_extreme_operands(rows, cols, mixed, monkeypatch):
+    k = 4096
+    a, b = extreme_operands(3, 5, k, mixed)
+    cfg = SystolicConfig(rows, cols)
+    narrow = simulate_systolic_gemm(a, b, cfg, with_trace=True)
+    assert narrow.result == reference_matmul(a, b)
+    if not mixed:
+        assert set(narrow.result.data.tolist()) == {k * 128 * 128}
+    monkeypatch.setattr(systolic, "INT32_EXACT_K", k)
+    assert simulate_systolic_gemm(a, b, cfg, with_trace=True) == narrow
+
+
+@pytest.mark.parametrize("below", [1, 0])
+def test_largest_sums_on_either_side_of_int32_exact_k(below):
+    # k products of 128^2 sum to 2^31 - 2^14 just below the limit, the
+    # largest int32 state must hold, and to 2^31 at it, which int32 cannot.
+    k = systolic.INT32_EXACT_K - below
+    a, b = Matrix(1, k, [-128] * k), Matrix(k, 2, [-128] * (2 * k))
+    res = simulate_systolic_gemm(a, b, SystolicConfig(1, 1))
+    assert res.result.data.tolist() == [k * 128 * 128] * 2
+    assert res.result == reference_matmul(a, b)
 
 
 def test_dimension_mismatch_rejected():

@@ -116,6 +116,9 @@ def instances(draw):
 @example((4, 2, 5, 2, 6, 5))  # C > n: one ragged n-tile
 @example((7, 11, 10, 4, 3, 6))  # ragged last tiles in both k and n
 @example((9, 12, 12, 4, 4, 7))  # tiles divide k and n exactly
+@example((1, 3, 4, 1, 1, 8))  # stream span 1: one clock, one buffer parity
+@example((2, 2, 3, 1, 1, 9))  # stream span 2: each parity once
+@example((1, 3, 5, 2, 2, 10))  # stream span 3: parity 0 twice
 def test_batched_engine_matches_per_pass_loop(inst):
     m, n, k, rows, cols, seed = inst
     a, b = make_gemm(GemmShape(m, n, k), seed)

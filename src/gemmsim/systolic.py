@@ -8,6 +8,15 @@ one PE south per clock and accumulate on the way.  Finished output values
 leave the bottom row.  Weight load and streaming never overlap, and ragged
 edge tiles leave zero-weight PEs that still burn clocks, which is exactly
 what depresses utilization at low inner dimension.
+
+The passes are independent, so one clock loop advances all of them.  Its
+state is array-row-major, (R, n-tiles, k-tiles, C): the southward shift is
+one contiguous add, and the bottom row is one contiguous block summed over
+its k-tiles into that clock's row of ``bottom``.  Output row i leaves column
+c at stream cycle i + R - 1 + c, so the result is read as one strided view
+of ``bottom`` down those diagonals.  Every (i, j, l) of the GEMM meets once,
+so the useful MACs are m*n*k; only the activity trace counts busy PEs clock
+by clock.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .results import SimResult, build_result
 from .workload import OPERAND_MAX, OPERAND_MIN, GemmShape, Matrix, require_operand_range
@@ -57,14 +67,12 @@ def simulate_systolic_gemm(
 ) -> SimResult:
     """Run GEMM on the array, clock by clock, and return exact results.
 
-    Counts every cycle of every pass (load, fill, steady streaming, drain).
-    mac_ops_issued counts only useful MACs, i.e. positions where a real A
-    element meets a real B element, so it totals m*n*k.  The tile passes are
-    independent, so one clock loop advances all of them together; the trace
-    is pass-major (k-tile major): R load zeros, then the pass's streaming
-    clocks.  Like a TPU's 8-bit multipliers feeding 32-bit accumulators, the
-    array state is int32 while k < INT32_EXACT_K = 2^17, where no partial sum
-    can leave int32, and int64 from there on; the result is int64 either way.
+    Counts every cycle of every pass (load, fill, steady streaming, drain);
+    mac_ops_issued counts only useful MACs, m*n*k.  The trace is pass-major
+    (k-tile major): R load zeros, then the pass's streaming clocks.  Like a
+    TPU's 8-bit multipliers feeding 32-bit accumulators, the array state is
+    int32 while k < INT32_EXACT_K = 2^17, where no partial sum can leave
+    int32, and int64 from there on; the result is int64 either way.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
@@ -74,27 +82,23 @@ def simulate_systolic_gemm(
     kt, nt = -(-k // r_ext), -(-n // c_ext)
     stream_span = m + r_ext + c_ext - 2
 
-    # Narrow the operands first, so every array built from them is narrow too.
     dtype = np.int32 if k < INT32_EXACT_K else np.int64
     # Injection schedule: at stream cycle s, array row r of k-tile t receives
     # A[s - r, t*R + r] (skewed wavefront), zero outside range.
-    a_np = a.to_numpy().astype(dtype)
-    inject = np.zeros((stream_span, kt, r_ext), dtype=dtype)
+    a_np = a.to_numpy()
+    inject = np.zeros((stream_span, r_ext, kt), dtype=dtype)
     for r in range(min(r_ext, k)):
         cols = a_np[:, r::r_ext]
-        inject[r : r + m, : cols.shape[1], r] = cols
-    # weights[t, u] is the zero-padded B tile of pass (k-tile t, n-tile u).
-    weights = (
-        np.pad(b.to_numpy().astype(dtype), ((0, kt * r_ext - k), (0, nt * c_ext - n)))
-        .reshape(kt, r_ext, nt, c_ext)
-        .transpose(0, 2, 1, 3)
-        .copy()
-    )
+        inject[r : r + m, r, : cols.shape[1]] = cols
+    # weights[r, u, t, c] is B[t*R + r, u*C + c], zero past the edges.
+    weights = np.zeros((kt * r_ext, nt * c_ext), dtype=dtype)
+    weights[:k, :n] = b.to_numpy()
+    weights = weights.reshape(kt, r_ext, nt, c_ext).transpose(1, 2, 0, 3).copy()
 
     # Double-buffered A registers and partial sums: clock s writes buffer
     # s & 1 from buffer 1 - (s & 1).  The views each clock touches are built
     # once per parity.
-    a_buf = [np.zeros((kt, 1, r_ext, c_ext), dtype=dtype) for _ in range(2)]
+    a_buf = [np.zeros((r_ext, 1, kt, c_ext), dtype=dtype) for _ in range(2)]
     p_buf = [np.zeros(weights.shape, dtype=dtype) for _ in range(2)]
     steps = [
         (
@@ -103,9 +107,9 @@ def simulate_systolic_gemm(
             a_buf[1 - j][..., :-1],
             a_buf[j],
             p_buf[j],
-            p_buf[j][:, :, 1:],
-            p_buf[1 - j][:, :, :-1],
-            p_buf[j][:, :, -1],
+            p_buf[j][1:],
+            p_buf[1 - j][:-1],
+            p_buf[j][-1],
         )
         for j in range(2)
     ]
@@ -118,32 +122,27 @@ def simulate_systolic_gemm(
         np.multiply(a_next, weights, out=p_next)
         np.add(p_south, p_from, out=p_south)
         # The bottom row leaves the array; the k-tiles of an output add up.
-        np.add.reduce(p_bottom, axis=0, out=p_out)
+        np.add.reduce(p_bottom, axis=1, out=p_out)
     # Free the pass state before the result is copied.
     del inject, weights, a_buf, p_buf, steps, a_in
     del a_west, a_east, a_from, a_next, p_next, p_south, p_from, p_bottom
-    # Column c of n-tile u finishes logical row i at stream cycle i + R - 1 + c.
-    i, u, c = np.ogrid[:m, :nt, :c_ext]
-    c_acc = bottom[i + r_ext - 1 + c, u, c]
-
-    # Useful MACs per pass and stream cycle: PEs (r, c) with r < ke, c < ne
-    # and a real A row in flight (0 <= s - r - c < m).  Tiles share one of at
-    # most two (ke, ne) extents each, so count once per distinct extent.
-    ke, ke_of, ke_count = np.unique(
-        np.minimum(r_ext, k - r_ext * np.arange(kt)), return_inverse=True, return_counts=True
-    )
-    ne, ne_of, ne_count = np.unique(
-        np.minimum(c_ext, n - c_ext * np.arange(nt)), return_inverse=True, return_counts=True
-    )
-    d = np.arange(stream_span)[:, None] - np.arange(r_ext)  # s - r
-    lo = np.maximum(0, d - m + 1)
-    hi = np.minimum(ne[:, None, None] - 1, d)
-    per_row = np.maximum(0, hi - lo + 1)  # (ne, s, r)
-    active = per_row.cumsum(axis=2)[:, :, ke - 1]  # (ne, s, ke)
-    mac_ops = int(ne_count @ active.sum(axis=1) @ ke_count)
+    # Column c of n-tile u finishes logical row i at stream cycle i + R - 1 + c,
+    # at most m + R + C - 3, bottom's last row.
+    s0, s1, s2 = bottom.strides
+    c_acc = as_strided(bottom[r_ext - 1 :], (m, nt, c_ext), (s0, s1, s0 + s2), writeable=False)
 
     trace = None
     if with_trace:
+        # Busy PEs per pass and stream cycle: (r, c) with r < ke, c < ne and
+        # a real A row in flight (0 <= s - r - c < m).  Tiles share one of at
+        # most two (ke, ne) extents each, so count once per distinct extent.
+        ke, ke_of = np.unique(np.minimum(r_ext, k - r_ext * np.arange(kt)), return_inverse=True)
+        ne, ne_of = np.unique(np.minimum(c_ext, n - c_ext * np.arange(nt)), return_inverse=True)
+        d = np.arange(stream_span)[:, None] - np.arange(r_ext)  # s - r
+        lo = np.maximum(0, d - m + 1)
+        hi = np.minimum(ne[:, None, None] - 1, d)
+        per_row = np.maximum(0, hi - lo + 1)  # (ne, s, r)
+        active = per_row.cumsum(axis=2)[:, :, ke - 1]  # (ne, s, ke)
         per_pass = np.zeros((kt, nt, r_ext + stream_span), dtype=np.int64)
         per_pass[:, :, r_ext:] = active[ne_of][:, :, ke_of].transpose(2, 0, 1)
         trace = tuple(per_pass.ravel().tolist())
@@ -152,7 +151,7 @@ def simulate_systolic_gemm(
     return build_result(
         passes * (r_ext + stream_span),
         Matrix.from_numpy(c_acc.reshape(m, nt * c_ext)[:, :n]),
-        mac_ops,
+        m * n * k,
         cfg.num_pes,
         phases={"load": passes * r_ext, "stream": passes * stream_span},
         activity_trace=trace,

@@ -13,13 +13,17 @@ bench_json = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_json)
 
 
-def write_report(directory, workload, seed, commit, value, traced=False):
+def write_report(
+    directory, workload, seed, commit, value, traced=False, digest="d0", failures=()
+):
     directory.mkdir(exist_ok=True)
     metrics = {key: {"value": value, "unit": "s"} for key in bench_json.METRICS}
     report = {
         "workload": workload,
         "environment": {"python": "3.11", "nproc": 2, "seed": seed, "commit": commit},
-        "result": {"correct": True, "metrics": metrics},
+        "digest": digest,
+        "failures": list(failures),
+        "result": {"correct": not failures, "metrics": metrics},
     }
     if traced:
         report["patch_sites"] = {}
@@ -46,6 +50,7 @@ def test_summary_of_paired_runs(tmp_path):
     assert list(summary["workloads"]) == ["routine"]
     routine = summary["workloads"]["routine"]
     assert routine["pairs"] == 5
+    assert routine["digests_equal"] == 5
     assert routine["seeds"] == [1, 2, 3, 4, 5]
     assert routine["environment"] == {"python": "3.11", "nproc": 2}
     assert routine["parent"]["commit"] == "aaa"
@@ -69,13 +74,26 @@ def test_pair_wins_count_lower_values_and_no_ties(tmp_path):
     assert all(w == {"change": 2, "parent": 1} for w in wins.values())
 
 
-@pytest.mark.parametrize("defect", ["traced", "mixed-commits"])
+def test_digests_equal_counts_pairs_with_one_digest(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # Seeds 1 and 3 simulate the same statistics on both sides, seed 2 does not.
+    for seed, digest in ((1, "d1"), (2, "d2"), (3, "d3")):
+        write_report(parent, "gemm-large", seed, "aaa", 1.0, digest=digest)
+        write_report(change, "gemm-large", seed, "bbb", 1.0, digest=digest.replace("d2", "x"))
+    out = tmp_path / "BENCH_5.json"
+    assert bench_json.main(args(5, parent, change, out)) == 0
+    assert json.loads(out.read_text())["workloads"]["gemm-large"]["digests_equal"] == 2
+
+
+@pytest.mark.parametrize("defect", ["traced", "mixed-commits", "failures"])
 def test_unlike_runs_are_refused(tmp_path, capsys, defect):
     parent, change = tmp_path / "parent", tmp_path / "change"
     write_report(parent, "routine", 1, "aaa", 1.0)
     write_report(change, "routine", 1, "bbb", 1.0)
     if defect == "traced":
         write_report(change, "routine", 2, "bbb", 1.0, traced=True)
+    elif defect == "failures":
+        write_report(parent, "routine", 2, "aaa", 1.0, failures=["gemm 3: wrong cycles"])
     else:
         write_report(change, "gemm-large", 1, "ccc", 1.0)
     out = tmp_path / "BENCH_1.json"

@@ -1,6 +1,7 @@
 """Weight-stationary systolic array: exactness, cycle formula, occupancy."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,3 +164,24 @@ def test_deterministic_runs():
     assert simulate_systolic_gemm(a, b, cfg, with_trace=True) == simulate_systolic_gemm(
         a, b, cfg, with_trace=True
     )
+
+
+@pytest.mark.parametrize("rows, cols", [(16, 16), (64, 64)])
+def test_call_peaks_at_its_state_and_result(rows, cols):
+    # The int32 state (schedule, weights, two A-register and two partial-sum
+    # buffers, bottom rows) and the int64 result, plus 64 KiB for ufunc
+    # buffers: no per-clock history and no per-call geometry beside them.
+    m = n = k = 128
+    kt, nt, span = -(-k // rows), -(-n // cols), m + rows + cols - 2
+    state = span * rows * kt + 3 * rows * nt * kt * cols + 2 * rows * kt * cols + span * nt * cols
+    bound = 4 * state + 8 * m * n + 2**16
+    a, b = make_gemm(GemmShape(m, n, k), 1)
+    cfg = SystolicConfig(rows, cols)
+    simulate_systolic_gemm(a, b, cfg)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        simulate_systolic_gemm(a, b, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound

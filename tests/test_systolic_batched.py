@@ -9,6 +9,7 @@ per pass over a single R x C register file.  The two must return equal
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from gemmsim import (
     make_gemm,
     reference_matmul,
     simulate_systolic_gemm,
+    systolic,
     systolic_cycle_formula,
 )
 from gemmsim.results import build_result
@@ -119,13 +121,22 @@ def instances(draw):
 @example((1, 3, 4, 1, 1, 8))  # stream span 1: one clock, one buffer parity
 @example((2, 2, 3, 1, 1, 9))  # stream span 2: each parity once
 @example((1, 3, 5, 2, 2, 10))  # stream span 3: parity 0 twice
+@example((1, 11, 10, 3, 4, 11))  # m = 1 drained from 4 k-tiles and 3 n-tiles
+@example((5, 12, 11, 4, 3, 12))  # kt = 3, nt = 4, R > C
+@example((3, 10, 12, 2, 4, 13))  # kt = 6, nt = 3, R < C
+@example((1, 2, 9, 2, 6, 14))  # m = 1 and C > n: the drain's last read is bottom's last row
 def test_batched_engine_matches_per_pass_loop(inst):
     m, n, k, rows, cols, seed = inst
     a, b = make_gemm(GemmShape(m, n, k), seed)
     cfg = SystolicConfig(rows, cols)
-    for with_trace in (False, True):
-        got = simulate_systolic_gemm(a, b, cfg, with_trace=with_trace)
-        assert got == per_pass_systolic_gemm(a, b, cfg, with_trace=with_trace)
+    want = {t: per_pass_systolic_gemm(a, b, cfg, with_trace=t) for t in (False, True)}
+    # INT32_EXACT_K = 1 sends every k through the int64 state.
+    for int32_exact_k in (systolic.INT32_EXACT_K, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(systolic, "INT32_EXACT_K", int32_exact_k)
+            for with_trace in (False, True):
+                got = simulate_systolic_gemm(a, b, cfg, with_trace=with_trace)
+                assert got == want[with_trace]
     assert got.result == reference_matmul(a, b)
 
 

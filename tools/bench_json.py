@@ -11,9 +11,11 @@ workload and seed, and unpaired runs are left out.  For every workload the
 output records, per side, the median and quartiles of each end-to-end
 metric over the paired runs, with the seeds, their count, the side's commit
 and the environment perfbench reported.  Per metric it also counts the
-pairs each side won, lower being better; a tie counts for neither.  A traced report, or reports of
-more than one commit on one side, is an error: the summary would mix unlike
-runs.
+pairs each side won, lower being better; a tie counts for neither.  It also
+counts the pairs whose two runs simulated the same statistics (equal
+perfbench ``digest``), as ``digests_equal``.  A traced report, a report
+with failures, or reports of more than one commit on one side, is an error:
+the summary would mix unlike runs or time wrong results.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ def load_side(directory: Path) -> tuple[str, dict[str, dict[int, dict]]]:
         report = json.loads(path.read_text())
         if "patch_sites" in report:
             raise BenchError(f"{path}: traced report; use --trace 0 runs only")
+        if report["failures"]:
+            raise BenchError(f"{path}: {len(report['failures'])} failures: {report['failures'][0]}")
         env = report["environment"]
         commits.add(env["commit"])
         runs.setdefault(report["workload"], {})[env["seed"]] = report
@@ -64,6 +68,10 @@ def summarise(parent_dir: Path, change_dir: Path, pr: int) -> dict:
         if not seeds:
             continue
         entry: dict = {"pairs": len(seeds), "seeds": seeds}
+        entry["digests_equal"] = sum(
+            sides["parent"][1][name][seed]["digest"] == sides["change"][1][name][seed]["digest"]
+            for seed in seeds
+        )
         values = {}
         for side, (commit, runs) in sides.items():
             metrics = [runs[name][seed]["result"]["metrics"] for seed in seeds]

@@ -124,7 +124,7 @@ def instances(draw):
 @example((1, 11, 10, 3, 4, 11))  # m = 1 drained from 4 k-tiles and 3 n-tiles
 @example((5, 12, 11, 4, 3, 12))  # kt = 3, nt = 4, R > C
 @example((3, 10, 12, 2, 4, 13))  # kt = 6, nt = 3, R < C
-@example((1, 2, 9, 2, 6, 14))  # m = 1 and C > n: the drain's last read is bottom's last row
+@example((1, 2, 9, 2, 6, 14))  # m = 1, C > n, kt = 5
 def test_batched_engine_matches_per_pass_loop(inst):
     m, n, k, rows, cols, seed = inst
     a, b = make_gemm(GemmShape(m, n, k), seed)

@@ -67,11 +67,12 @@ def summarise(parent_dir: Path, change_dir: Path, pr: int) -> dict:
         seeds = sorted(set(sides["parent"][1].get(name, {})) & set(sides["change"][1][name]))
         if not seeds:
             continue
-        entry: dict = {"pairs": len(seeds), "seeds": seeds}
-        entry["digests_equal"] = sum(
-            sides["parent"][1][name][seed]["digest"] == sides["change"][1][name][seed]["digest"]
-            for seed in seeds
-        )
+        parent_runs, change_runs = sides["parent"][1][name], sides["change"][1][name]
+        entry: dict = {
+            "pairs": len(seeds),
+            "seeds": seeds,
+            "digests_equal": sum(parent_runs[s]["digest"] == change_runs[s]["digest"] for s in seeds),
+        }
         values = {}
         for side, (commit, runs) in sides.items():
             metrics = [runs[name][seed]["result"]["metrics"] for seed in seeds]

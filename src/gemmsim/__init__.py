@@ -31,7 +31,6 @@ from .streamer import (
     build_ce_tree,
     simulate_cs_gemm,
     simulate_tree_inner_product,
-    tree_collective_latency,
 )
 from .summa import ClusterModel, SummaResult, simulate_summa
 from .systolic import SystolicConfig, simulate_systolic_gemm, systolic_cycle_formula
@@ -80,6 +79,5 @@ __all__ = [
     "simulate_systolic_gemm",
     "simulate_tree_inner_product",
     "systolic_cycle_formula",
-    "tree_collective_latency",
     "tree_time",
 ]

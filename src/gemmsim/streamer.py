@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import CollectiveKind, tree_time
+from .bounds import tree_time
 from .results import SimResult, build_result
 from .workload import (
     OPERAND_MAX,
@@ -80,13 +80,6 @@ def build_ce_tree(
     if root_port_width is None:
         root_port_width = fanout
     return CETree(num_pes, fanout, level_latency, root_port_width)
-
-
-def tree_collective_latency(tree: CETree, kind: CollectiveKind) -> int:
-    """Clocks for one traversal of the hierarchy; identical for all four kinds."""
-    if not isinstance(kind, CollectiveKind):
-        raise ValueError(f"expected a CollectiveKind, got {kind!r}")
-    return tree.levels * tree.level_latency
 
 
 def _cs_transfer_counts(tree: CETree, m: int, n: int, k: int) -> dict[str, int]:
@@ -244,9 +237,8 @@ def simulate_cs_gemm(
     widths = [col.cols for col, _ in steps]
     stream_cycles = sum(map(span, widths))
 
-    fill = tree_collective_latency(tree, CollectiveKind.BROADCAST)
-    drain = tree_collective_latency(tree, CollectiveKind.GATHER)
-    drain += max(-(-m * n // width), owned_max)
+    fill = tree.levels * tree.level_latency  # one traversal of the hierarchy
+    drain = fill + max(-(-m * n // width), owned_max)
     cycles = fill + stream_cycles + drain
     mac_ops = m * n * k
 

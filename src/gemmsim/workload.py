@@ -1,9 +1,8 @@
 """GEMM problem instances, exact integer matrices, and the reference oracle.
 
 Every simulator in this package consumes the same operand containers and is
-checked bit-exactly against :func:`reference_matmul`, which is deliberately
-implemented with plain Python integer arithmetic so it stays an independent
-route from the numpy-backed simulator internals.
+checked bit-exactly against :func:`reference_matmul`, whose every product and
+sum is an unbounded Python int; numpy only reads its operands and result.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import operator
 import random
 import sys
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -119,8 +117,8 @@ class Matrix:
 def require_operand_range(*matrices: Matrix) -> None:
     """Reject matrices whose elements fall outside the operand width."""
     for mat in matrices:
-        bad = (mat.data < OPERAND_MIN) | (mat.data > OPERAND_MAX)
-        if bad.any():
+        if mat.data.min() < OPERAND_MIN or mat.data.max() > OPERAND_MAX:
+            bad = (mat.data < OPERAND_MIN) | (mat.data > OPERAND_MAX)  # names the first
             raise ValueError(
                 f"operand element {mat.data[bad.argmax()]} outside [{OPERAND_MIN}, {OPERAND_MAX}]"
             )
@@ -242,8 +240,9 @@ def make_vectors(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
     """Ground-truth GEMM in exact integer arithmetic, by Kronecker substitution.
 
-    Pure Python on purpose: this is the oracle every simulator is compared
-    against, so it shares no numpy arithmetic with them.  Each row of B is
+    The oracle every simulator is compared against, so every product and sum
+    is an unbounded Python int.  numpy only reads the operands' extremes,
+    narrows B to the field type and reinterprets C's bytes.  Each row of B is
     packed into one big int of w-bit fields, each starting at 2^(w-1) so it
     never borrows, and row i of C is one big-int multiply-add per element of
     A's row i.  w is 32 while k * max|A| * max|B| < 2^31, 64 while it is
@@ -251,18 +250,18 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
-    arows, bflat = a.to_rows(), b.to_numpy().ravel().tolist()
-    amax = max(max(map(max, arows)), -min(map(min, arows)))
+    # int() before negating: numpy's -int64(-2^63) wraps to -2^63.
+    amax = max(int(a.data.max()), -int(a.data.min()))
     # At least max|B|, so every element of B also fits in a field.
-    bound = max(a.cols * amax, 1) * max(max(bflat), -min(bflat))
+    bound = max(a.cols * amax, 1) * max(int(b.data.max()), -int(b.data.min()))
     if bound >= 1 << 63:
         raise ValueError(f"k * max|A| * max|B| = {bound} does not fit in 64 bits")
-    code, width = ("i", 32) if bound < 1 << 31 else ("q", 64)
-    order = sys.byteorder  # array and memoryview use the native byte order
+    dtype, width = (np.int32, 32) if bound < 1 << 31 else (np.int64, 64)
+    order = sys.byteorder  # numpy's field types use the native byte order
     size = b.cols * width // 8
-    # -2^(w-1) in w-bit two's complement is the field's top bit alone.
-    offset = int.from_bytes(array(code, [-(1 << width - 1)] * b.cols).tobytes(), order)
-    braw = array(code, bflat).tobytes()
+    # 2^(w-1) in each of the b.cols fields: the fields' top bits alone.
+    offset = ((1 << width * b.cols) - 1) // ((1 << width) - 1) << (width - 1)
+    braw = b.data.astype(dtype).tobytes()
     # Read unsigned, field j holds B[k][j] mod 2^w; flipping its top bit makes
     # it B[k][j] + 2^(w-1), and subtracting the offset leaves the signed
     # sum_j B[k][j] * 2^(w*j).
@@ -270,13 +269,13 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
         (int.from_bytes(braw[lo : lo + size], order) ^ offset) - offset
         for lo in range(0, len(braw), size)
     ]
-    out = []
-    for arow in arows:
+    aflat, out = a.data.tolist(), bytearray()
+    for lo in range(0, len(aflat), a.cols):
         # Each field now holds C[i][j] + 2^(w-1) in [0, 2^w); flipping its top
         # bit leaves C[i][j] in two's complement.
-        acc = sum(map(operator.mul, arow, packed), offset) ^ offset
-        out += memoryview(acc.to_bytes(size, order)).cast(code).tolist()
-    return Matrix(a.rows, b.cols, out)
+        acc = sum(map(operator.mul, aflat[lo : lo + a.cols], packed), offset) ^ offset
+        out += acc.to_bytes(size, order)
+    return Matrix(a.rows, b.cols, np.frombuffer(out, dtype))
 
 
 def outer_product_schedule(a: Matrix, b: Matrix, block_width: int) -> list[tuple[Matrix, Matrix]]:

@@ -13,17 +13,24 @@ bench_json = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_json)
 
 
+# Per-layer metrics of a traced report, as perfbench/tracing.py names them.
+LAYER_METRICS = ("systolic.calls", "systolic.self_s", "systolic.errors", "workload.oracle_ns_per_mac")
+
+
 def write_report(
     directory, workload, seed, commit, value, traced=False, digest="d0", failures=()
 ):
     directory.mkdir(exist_ok=True)
-    metrics = {key: {"value": value, "unit": "s"} for key in bench_json.METRICS}
+    keys = LAYER_METRICS if traced else bench_json.METRICS
+    metrics = {key: {"value": value, "unit": "s"} for key in keys}
     report = {
         "workload": workload,
+        "seconds": 30,
         "environment": {"python": "3.11", "nproc": 2, "seed": seed, "commit": commit},
+        "pass_s": {"median": value, "samples": 3},
         "digest": digest,
         "failures": list(failures),
-        "result": {"correct": not failures, "metrics": metrics},
+        "result": {"correct": not failures, "failed": len(failures), "metrics": metrics},
     }
     if traced:
         report["patch_sites"] = {}
@@ -47,6 +54,7 @@ def test_summary_of_paired_runs(tmp_path):
 
     summary = json.loads(out.read_text())
     assert summary["pr"] == 3
+    assert summary["traced"] == {}
     assert list(summary["workloads"]) == ["routine"]
     routine = summary["workloads"]["routine"]
     assert routine["pairs"] == 5
@@ -85,13 +93,45 @@ def test_digests_equal_counts_pairs_with_one_digest(tmp_path):
     assert json.loads(out.read_text())["workloads"]["gemm-large"]["digests_equal"] == 2
 
 
+def test_traced_reports_fill_the_traced_section(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2):
+        write_report(parent, "routine", seed, "aaa", 1.0)
+        write_report(change, "routine", seed, "bbb", 0.5)
+        write_report(parent, "gemm-large", seed, "aaa", 1.0)
+        write_report(change, "gemm-large", seed, "bbb", 1.0)
+    write_report(parent, "routine", 3, "aaa", 0.4, traced=True, digest="t")
+    write_report(change, "routine", 3, "bbb", 0.3, traced=True, digest="t")
+    write_report(parent, "gemm-large", 3, "aaa", 0.1, traced=True)
+    write_report(change, "gemm-large", 4, "bbb", 0.1, traced=True)  # seeds differ: left out
+    out = tmp_path / "BENCH_6.json"
+    assert bench_json.main(args(6, parent, change, out)) == 0
+
+    summary = json.loads(out.read_text())
+    assert summary["workloads"]["routine"]["pairs"] == 2  # traced runs are not paired
+    assert list(summary["traced"]) == ["routine"]
+    routine = summary["traced"]["routine"]
+    assert (routine["seed"], routine["seconds"]) == (3, 30)
+    for side, commit, value in (("parent", "aaa", 0.4), ("change", "bbb", 0.3)):
+        assert routine[side] == {
+            "commit": commit,
+            "digest": "t",
+            "failed": 0,
+            "pass_s_median": value,
+            "systolic.calls": value,
+            "systolic.self_s": value,
+            "workload.oracle_ns_per_mac": value,
+        }
+
+
 @pytest.mark.parametrize("defect", ["traced", "mixed-commits", "failures"])
 def test_unlike_runs_are_refused(tmp_path, capsys, defect):
     parent, change = tmp_path / "parent", tmp_path / "change"
     write_report(parent, "routine", 1, "aaa", 1.0)
     write_report(change, "routine", 1, "bbb", 1.0)
-    if defect == "traced":
+    if defect == "traced":  # two traced runs of one workload: which one counts?
         write_report(change, "routine", 2, "bbb", 1.0, traced=True)
+        write_report(change, "routine", 3, "bbb", 1.0, traced=True)
     elif defect == "failures":
         write_report(parent, "routine", 2, "aaa", 1.0, failures=["gemm 3: wrong cycles"])
     else:

@@ -91,6 +91,17 @@ def test_bound_of_2_to_the_63_is_rejected():
         reference_matmul(filled(1, 2, 2**31), filled(2, 1, 2**31))
 
 
+# -2^63 has no int64 negation: a bound that negated it in numpy would wrap,
+# pick 32-bit fields and overflow (in A) or truncate it silently (in B).
+@pytest.mark.parametrize("swap", [False, True])
+def test_int64_minimum_is_rejected(swap):
+    a, b = Matrix(1, 2, [1, -(2**63)]), Matrix(2, 1, [1, 1])
+    if swap:
+        a, b = Matrix(1, 2, [1, 1]), Matrix(2, 1, [1, -(2**63)])
+    with pytest.raises(ValueError, match="does not fit in 64 bits"):
+        reference_matmul(a, b)
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         reference_matmul(filled(2, 3, 1), filled(2, 2, 1))

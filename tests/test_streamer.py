@@ -6,7 +6,6 @@ import pytest
 
 from gemmsim import (
     CETree,
-    CollectiveKind,
     GemmShape,
     Matrix,
     SystolicConfig,
@@ -17,7 +16,6 @@ from gemmsim import (
     simulate_cs_gemm,
     simulate_systolic_gemm,
     simulate_tree_inner_product,
-    tree_collective_latency,
 )
 from gemmsim import streamer
 
@@ -55,11 +53,18 @@ def test_build_tree_defaults_and_validation():
 
 
 def test_collective_latency():
-    assert tree_collective_latency(build_ce_tree(1, 2), CollectiveKind.BROADCAST) == 0
-    assert tree_collective_latency(build_ce_tree(256, 2, 1), CollectiveKind.REDUCE) == 8
-    assert tree_collective_latency(build_ce_tree(256, 4, 2), CollectiveKind.GATHER) == 8
-    for kind in CollectiveKind:
-        assert tree_collective_latency(build_ce_tree(64, 2, 3), kind) == 18
+    # One traversal of the hierarchy prices the fill and the drain's gather.
+    a, b = make_gemm(GemmShape(16, 16, 2), 0)
+    for tree, clocks in (
+        (build_ce_tree(1, 2), 0),
+        (build_ce_tree(256, 2, 1), 8),
+        (build_ce_tree(256, 4, 2), 8),
+        (build_ce_tree(64, 2, 3), 18),
+    ):
+        phases = simulate_cs_gemm(a, b, tree).phases
+        assert phases["fill"] == clocks
+        owned = -(-256 // tree.num_pes)
+        assert phases["drain"] == clocks + max(-(-256 // tree.root_port_width), owned)
 
 
 def test_tree_inner_product_cycles():

@@ -19,7 +19,12 @@ from gemmsim import (
     outer_product_schedule,
     reference_matmul,
 )
-from gemmsim.workload import DRAW_ROUND_WORDS, NUMPY_DRAW_MIN, _draw_operands
+from gemmsim.workload import (
+    DRAW_ROUND_WORDS,
+    NUMPY_DRAW_MIN,
+    _draw_operands,
+    require_operand_range,
+)
 
 
 def outer_product_sum(steps, m, n):
@@ -110,6 +115,13 @@ def test_matrix_equality_compares_shape_and_values():
     assert hash(a) == hash(Matrix(1, 4, np.arange(1, 5)))
     assert a != Matrix(2, 2, (1, 2, 3, 4))
     assert a != Matrix(1, 4, (1, 2, 3, 5))
+
+
+def test_operand_range_error_names_the_first_offending_element():
+    # -300 is the farther out of range, but 200 comes first.
+    with pytest.raises(ValueError, match=r"operand element 200 outside \[-128, 127\]"):
+        require_operand_range(Matrix(1, 3, [0, 200, -300]))
+    require_operand_range(Matrix(1, 2, [-128, 127]))
 
 
 def test_make_gemm_deterministic():

@@ -13,8 +13,15 @@ metric over the paired runs, with the seeds, their count, the side's commit
 and the environment perfbench reported.  Per metric it also counts the
 pairs each side won, lower being better; a tie counts for neither.  It also
 counts the pairs whose two runs simulated the same statistics (equal
-perfbench ``digest``), as ``digests_equal``.  A traced report, a report
-with failures, or reports of more than one commit on one side, is an error:
+perfbench ``digest``), as ``digests_equal``.
+
+The same directories may hold one ``perfbench/run.py --trace 1`` report per
+workload and side.  Where both sides ran the same seed traced, the
+``traced`` section records for that workload the seed, the run length and,
+per side, the commit, digest, failed operations, median ``pass_s`` and every
+per-layer metric but the ``*.errors`` counts (a run with errors has
+failures).  A report with failures, a second traced report of one workload
+on one side, or reports of more than one commit on one side, is an error:
 the summary would mix unlike runs or time wrong results.
 """
 
@@ -33,24 +40,38 @@ class BenchError(Exception):
     pass
 
 
-def load_side(directory: Path) -> tuple[str, dict[str, dict[int, dict]]]:
-    """The side's commit and its reports, by workload and seed."""
+def load_side(directory: Path) -> tuple[str, dict[str, dict[int, dict]], dict[str, dict]]:
+    """The side's commit, its untraced reports by workload and seed, and its
+    traced report by workload."""
     runs: dict[str, dict[int, dict]] = {}
+    traced: dict[str, dict] = {}
     commits = set()
     for path in sorted(directory.glob("report-*.json")):
         report = json.loads(path.read_text())
-        if "patch_sites" in report:
-            raise BenchError(f"{path}: traced report; use --trace 0 runs only")
         if report["failures"]:
             raise BenchError(f"{path}: {len(report['failures'])} failures: {report['failures'][0]}")
-        env = report["environment"]
+        env, workload = report["environment"], report["workload"]
         commits.add(env["commit"])
-        runs.setdefault(report["workload"], {})[env["seed"]] = report
-    if not runs:
+        if "patch_sites" not in report:
+            runs.setdefault(workload, {})[env["seed"]] = report
+        elif traced.setdefault(workload, report) is not report:
+            raise BenchError(f"{path}: a second traced report of {workload}")
+    if not commits:
         raise BenchError(f"{directory}: no report-*.json files")
     if len(commits) > 1:
         raise BenchError(f"{directory}: reports of several commits: {sorted(commits)}")
-    return commits.pop(), runs
+    return commits.pop(), runs, traced
+
+
+def traced_side(commit: str, report: dict) -> dict:
+    """One side of a traced pair: its pass time and per-layer metrics."""
+    metrics = report["result"]["metrics"]
+    return {
+        "commit": commit,
+        "digest": report["digest"],
+        "failed": report["result"]["failed"],
+        "pass_s_median": report["pass_s"]["median"],
+    } | {key: m["value"] for key, m in metrics.items() if not key.endswith(".errors")}
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -74,7 +95,7 @@ def summarise(parent_dir: Path, change_dir: Path, pr: int) -> dict:
             "digests_equal": sum(parent_runs[s]["digest"] == change_runs[s]["digest"] for s in seeds),
         }
         values = {}
-        for side, (commit, runs) in sides.items():
+        for side, (commit, runs, _) in sides.items():
             metrics = [runs[name][seed]["result"]["metrics"] for seed in seeds]
             values[side] = {key: [m[key]["value"] for m in metrics] for key in METRICS}
             entry[side] = {"commit": commit} | {key: spread(values[side][key]) for key in METRICS}
@@ -91,7 +112,19 @@ def summarise(parent_dir: Path, change_dir: Path, pr: int) -> dict:
         workloads[name] = entry
     if not workloads:
         raise BenchError("no workload has a seed run on both sides")
-    return {"pr": pr, "metrics": list(METRICS), "workloads": workloads}
+    traced = {}
+    for name, change in sorted(sides["change"][2].items()):
+        parent = sides["parent"][2].get(name)
+        seed = change["environment"]["seed"]
+        if parent is None or parent["environment"]["seed"] != seed:
+            continue
+        traced[name] = {
+            "seed": seed,
+            "seconds": change["seconds"],
+            "parent": traced_side(sides["parent"][0], parent),
+            "change": traced_side(sides["change"][0], change),
+        }
+    return {"pr": pr, "metrics": list(METRICS), "workloads": workloads, "traced": traced}
 
 
 def main(argv: list[str] | None = None) -> int:

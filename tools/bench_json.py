@@ -5,9 +5,9 @@ Usage, from the root of a checkout:
     python3 tools/bench_json.py --pr 8 --parent PARENT/.perfbench_out \
         --change CHANGE/.perfbench_out
 
-Each directory holds the untraced ``report-*.json`` files that
-``perfbench/run.py --trace 0`` wrote in one checkout.  Runs pair up by
-workload and seed, and unpaired runs are left out.  For every workload the
+Each directory holds the ``report-*.json`` files that ``perfbench/run.py``
+wrote in one checkout.  Untraced runs (``--trace 0``) pair up by workload
+and seed, and unpaired runs are left out.  For every workload the
 output records, per side, the median and quartiles of each end-to-end
 metric over the paired runs, with the seeds, their count, the side's commit
 and the environment perfbench reported.  Per metric it also counts the
@@ -63,11 +63,11 @@ def load_side(directory: Path) -> tuple[str, dict[str, dict[int, dict]], dict[st
     return commits.pop(), runs, traced
 
 
-def traced_side(commit: str, report: dict) -> dict:
+def traced_side(report: dict) -> dict:
     """One side of a traced pair: its pass time and per-layer metrics."""
     metrics = report["result"]["metrics"]
     return {
-        "commit": commit,
+        "commit": report["environment"]["commit"],
         "digest": report["digest"],
         "failed": report["result"]["failed"],
         "pass_s_median": report["pass_s"]["median"],
@@ -121,8 +121,8 @@ def summarise(parent_dir: Path, change_dir: Path, pr: int) -> dict:
         traced[name] = {
             "seed": seed,
             "seconds": change["seconds"],
-            "parent": traced_side(sides["parent"][0], parent),
-            "change": traced_side(sides["change"][0], change),
+            "parent": traced_side(parent),
+            "change": traced_side(change),
         }
     return {"pr": pr, "metrics": list(METRICS), "workloads": workloads, "traced": traced}
 

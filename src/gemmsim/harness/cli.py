@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Diagnostics go to stderr; report data goes to files.  Exit codes: 0 success,
-1 validation failure, 2 config error, 3 simulator rejected its input.
+1 validation failure, 2 config error, 3 simulator rejected its input or
+ran out of memory.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ def _execute(config_path: str, require_sweep: bool) -> int:
         rows = run_experiment(resolved)
     except (ValueError, OverflowError) as exc:
         _err(f"simulation input rejected: {exc}")
+        return EXIT_SIM_INPUT
+    except MemoryError as exc:  # numpy names the allocation; a bare one is empty
+        _err(f"simulation input rejected: out of memory{f' ({exc})' if str(exc) else ''}")
         return EXIT_SIM_INPUT
 
     try:

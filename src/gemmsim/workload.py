@@ -145,7 +145,7 @@ def resolve_vector_operands(
 
 # Draws of at least this many values take their words from numpy's MT19937
 # loaded with the generator's state.  Building it and copying the state in
-# and out costs ~0.4 ms a call, which pays off only past ~21,000 values (the
+# and out costs ~0.4 ms a call, which pays off only past ~19,000 values (the
 # crossover measured on a 2-core x86 host); this is the next power of two.
 NUMPY_DRAW_MIN = 2**15
 
@@ -155,6 +155,15 @@ NUMPY_DRAW_MIN = 2**15
 # then differs by ~10 MB from one seed to another.
 DRAW_ROUND_WORDS = 2**16
 
+# Once at most this many values are missing, a draw finishes word by word:
+# each numpy round costs several calls whatever its size, and a corpus-sized
+# draw would otherwise spend ~5 of its rounds on the last few dozen values.
+DRAW_TAIL = 32
+
+# A round's in-place shift and offset take int16 scalars: Python ints cost
+# each of the two calls a conversion, ~3% of a corpus-sized draw.
+_SHIFT, _OFFSET = np.int16(7), np.int16(OPERAND_MIN)
+
 # Index of a word's high 16 bits among the int16 views of a native uint64.
 _HIGH_HALF = 1 if sys.byteorder == "little" else 2
 
@@ -162,53 +171,76 @@ _HIGH_HALF = 1 if sys.byteorder == "little" else 2
 def _draw_operands(rng: random.Random, count: int) -> np.ndarray:
     """``[rng.randint(OPERAND_MIN, OPERAND_MAX) for _ in range(count)]`` as int64.
 
-    ``randint`` keeps the top 9 bits of one 32-bit Mersenne Twister word and
-    rejects values >= 256, that is, words with the top bit set.  So a word's
-    high 16 bits, read as int16, are kept when >= 0 and give the value
-    ``(hi >> 7) + OPERAND_MIN``.  Each round draws as many words as values
-    are still missing, at most ``DRAW_ROUND_WORDS``, so no word is drawn past
-    the last accepted one.
+    ``randint`` draws ``rng.getrandbits(9)``, the top 9 bits of one 32-bit
+    Mersenne Twister word, until it is below 256: it rejects the words
+    >= 2**31 and turns an accepted word into ``(word >> 23) + OPERAND_MIN``.
+    Whole words go through the numpy rounds of ``_accept_words`` until at
+    most ``DRAW_TAIL`` values are missing; ``randint``'s own loop, one
+    ``getrandbits(9)`` word at a time, draws the rest.
 
-    The words come from ``rng.getrandbits(32 * w)``, which returns the next
-    w words little-endian, or, for at least ``NUMPY_DRAW_MIN`` values, from
-    ``numpy.random.MT19937``, the same generator, run from a copy of
-    ``rng``'s state that is written back afterwards.  Either way the values
-    and ``rng``'s final state equal ``randint``'s.
+    The rounds take their words from ``rng.getrandbits(32 * w)``, which
+    returns the next w words little-endian, or, for at least
+    ``NUMPY_DRAW_MIN`` values, from ``numpy.random.MT19937``, the same
+    generator, run from a copy of ``rng``'s state that is written back
+    before the tail.  Either way the values and ``rng``'s final state equal
+    ``randint``'s.
     """
     if count < NUMPY_DRAW_MIN:
-        return _accept_words(
+        ops, filled = _accept_words(
             count,
-            lambda w: np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<i2")[1::2],
+            lambda w: np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<u4"),
+            lambda words: words.view("<i2")[1::2],
         )
-    from numpy.random import MT19937  # ~6 MB of RSS, so only on this path
+    else:
+        from numpy.random import MT19937  # ~6 MB of RSS, so only on this path
 
-    version, internal, gauss_next = rng.getstate()
-    mt = MT19937(0)  # a fixed seed skips the OS entropy; the state is replaced
-    key = np.array(internal[:-1], dtype=np.uint32)
-    mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": internal[-1]}}
-    # random_raw widens each 32-bit word to a uint64.
-    ops = _accept_words(count, lambda w: mt.random_raw(w).view(np.int16)[_HIGH_HALF::4])
-    state = mt.state["state"]
-    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+        version, internal, gauss_next = rng.getstate()
+        mt = MT19937(0)  # a fixed seed skips the OS entropy; the state is replaced
+        key = np.array(internal[:-1], dtype=np.uint32)
+        mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": internal[-1]}}
+        # random_raw widens each 32-bit word to a native uint64.
+        ops, filled = _accept_words(
+            count, mt.random_raw, lambda words: words.view(np.int16)[_HIGH_HALF::4]
+        )
+        state = mt.state["state"]
+        rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+    tail = []
+    while len(tail) < count - filled:
+        value = rng.getrandbits(9)
+        if value < 256:
+            tail.append(value + OPERAND_MIN)
+    ops[filled:] = tail
     return ops
 
 
-def _accept_words(count: int, high_halves: Callable[[int], np.ndarray]) -> np.ndarray:
-    """The rejection loop of ``_draw_operands`` over ``high_halves(w)``, the
-    int16 high halves of the generator's next w words, filling one output
-    array in place."""
+def _accept_words(
+    count: int,
+    words: Callable[[int], np.ndarray],
+    high_halves: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, int]:
+    """The numpy rounds of ``_draw_operands``: ``words(w)`` gives the
+    generator's next w words as unsigned integers, ``high_halves`` their
+    bits 16-31 as an int16 view.
+
+    Each round draws as many words as values are still missing, at most
+    ``DRAW_ROUND_WORDS``, so no word is drawn past the last accepted one.  It
+    tests the contiguous words against 2**31, gathers the accepted words'
+    high halves, shifts and offsets them in place and stores them straight
+    into the int64 output.  Returns the output and how many values it holds;
+    the rounds stop once at most ``DRAW_TAIL`` are missing.
+    """
     ops = np.empty(count, dtype=np.int64)
     filled = 0
-    while filled < count:
-        hi = high_halves(min(count - filled, DRAW_ROUND_WORDS))
+    while count - filled > DRAW_TAIL:
+        drawn = words(min(count - filled, DRAW_ROUND_WORDS))
         # Indexing by nonzero() beats a boolean mask at every size here: the
         # mask's data-dependent branches mispredict on random words.
-        accepted = hi[(hi >= 0).nonzero()[0]]
-        ops[filled : filled + len(accepted)] = accepted
-        filled += len(accepted)
-    ops >>= 7
-    ops += OPERAND_MIN
-    return ops
+        hi = high_halves(drawn)[(drawn < 2**31).nonzero()[0]]
+        hi >>= _SHIFT
+        hi += _OFFSET
+        ops[filled : filled + len(hi)] = hi
+        filled += len(hi)
+    return ops, filled
 
 
 def make_gemm(shape: GemmShape, seed: int) -> tuple[Matrix, Matrix]:

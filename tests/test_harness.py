@@ -160,6 +160,22 @@ def test_simulator_precondition_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     assert "rejected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, shown",
+    [((), "out of memory"), (("Unable to allocate 8.00 TiB",), "out of memory (Unable to allocate 8.00 TiB)")],
+    ids=["bare", "numpy"],
+)
+def test_simulator_memory_error_maps_to_exit_3(tmp_path, capsys, monkeypatch, args, shown):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError(*args)  # raised directly: the test allocates nothing
+
+    monkeypatch.setattr(importlib.import_module("gemmsim.systolic"), "simulate_systolic_gemm", exhausted)
+    monkeypatch.setenv("GEMMSIM_OUTPUT_DIR", str(tmp_path))
+    assert cli.main(["run", str(CONFIGS / "simulate_systolic.json")]) == 3
+    assert capsys.readouterr().err == f"gemmsim: simulation input rejected: {shown}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_workload_arch_mismatch(tmp_path):
     payload = {
         "schema_version": 1,

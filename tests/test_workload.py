@@ -21,6 +21,7 @@ from gemmsim import (
 )
 from gemmsim.workload import (
     DRAW_ROUND_WORDS,
+    DRAW_TAIL,
     NUMPY_DRAW_MIN,
     _draw_operands,
     require_operand_range,
@@ -200,6 +201,16 @@ def test_multi_round_draw_matches_randint(seed, prelude):
     # About half the words are rejected, so 100 000 values take ~18 rounds,
     # the first ones capped at DRAW_ROUND_WORDS.
     assert_draws_match_randint(seed, prelude, (100_000,))
+
+
+@pytest.mark.parametrize("seed, prelude", [(5, "700 words"), (-(2**40), "gauss_next set")])
+def test_every_tail_length_matches_randint(seed, prelude):
+    # Counts below one tail draw no numpy round; up to two tails, the rounds
+    # hand over at every point; from the MT19937 threshold on, the tail
+    # follows the state's write-back.
+    small = range(2 * DRAW_TAIL + 2)
+    large = range(NUMPY_DRAW_MIN, NUMPY_DRAW_MIN + DRAW_TAIL + 1)
+    assert_draws_match_randint(seed, prelude, [*small, *large])
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -162,7 +162,10 @@ def test_simulator_precondition_maps_to_exit_3(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "args, shown",
-    [((), "out of memory"), (("Unable to allocate 8.00 TiB",), "out of memory (Unable to allocate 8.00 TiB)")],
+    [
+        ((), "out of memory"),
+        (("Unable to allocate 8.00 TiB",), "out of memory (Unable to allocate 8.00 TiB)"),
+    ],
     ids=["bare", "numpy"],
 )
 def test_simulator_memory_error_maps_to_exit_3(tmp_path, capsys, monkeypatch, args, shown):

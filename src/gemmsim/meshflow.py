@@ -6,7 +6,9 @@ order.  Operand pairs are preloaded into the PEs at no modeled cost; the
 cycles counted are the MAC-and-forward sweep plus the final hop that
 delivers the scalar into memory on the far side.  Each reduction stage costs
 one MAC clock at the receiving PE plus hop_latency transfer clocks, so a
-length-n chain takes n * (1 + hop_latency) cycles.
+length-n chain takes n * (1 + hop_latency) cycles.  The chain and the grid
+run one sweep: a chain of extent e is the grid's one-row case, a 1 x e mesh
+with an empty column phase.
 """
 
 from __future__ import annotations
@@ -30,8 +32,12 @@ class MeshConfig:
     hop_latency: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.extents, tuple):
-            object.__setattr__(self, "extents", tuple(self.extents))
+        values = (*self.extents, self.hop_latency)
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in values):
+            raise ValueError(f"extents and hop latency must be integers, got {values}")
+        # Python ints, so that no numpy integer type can overflow in the sweep.
+        object.__setattr__(self, "extents", tuple(map(int, self.extents)))
+        object.__setattr__(self, "hop_latency", int(self.hop_latency))
         if self.dimension not in (1, 2):
             raise ValueError(f"mesh dimension must be 1 or 2, got {self.dimension}")
         if any(e < 1 for e in self.extents):
@@ -62,6 +68,56 @@ def covering_side(n: int) -> int:
     return side if side * side >= n else side + 1
 
 
+def _sweep(
+    n: int,
+    cfg: MeshConfig,
+    operands: tuple[Sequence[int], Sequence[int]] | None,
+    seed: int,
+    with_trace: bool,
+    stage_names: tuple[str, ...],
+) -> SimResult:
+    """Row-major MAC-and-forward sweep on rows of extents[-1] PEs.
+
+    stage_names names the row phase and, for a grid, the column phase; a
+    chain is the one-row case, whose column phase is empty.
+    """
+    if cfg.num_pes < n:
+        raise ValueError(f"mesh extents {cfg.extents} too small for n={n}")
+    a, b = resolve_vector_operands(n, operands, seed)
+    h = cfg.hop_latency
+
+    # Row-major occupancy: full rows of `cols` pairs, the last possibly partial.
+    cols = cfg.extents[-1]
+    occupied_rows = -(-n // cols)
+    max_len = min(cols, n)
+    last_len = n - (occupied_rows - 1) * cols
+
+    stage = h + 1  # hop + MAC clock per reduction stage
+    row_phase = 1 + (max_len - 1) * stage  # first MAC clock, then stages
+    col_phase = (occupied_rows - 1) * stage
+    cycles = row_phase + col_phase + h
+
+    trace: tuple[int, ...] | None = None
+    if with_trace:
+        # Each stage's MAC clock, then its hop: every row MACs while the last
+        # has pairs, the full rows after it, then one combine down the column.
+        t = ([occupied_rows] + [0] * h) * last_len
+        t += ([occupied_rows - 1] + [0] * h) * (max_len - last_len)
+        t += ([1] + [0] * h) * (occupied_rows - 1)
+        trace = tuple(t)
+
+    return build_result(
+        cycles,
+        Matrix(1, 1, (int(np.dot(a, b)),)),
+        n + (occupied_rows - 1),  # column combines occupy MAC units too
+        cfg.num_pes,
+        phases={**dict(zip(stage_names, (row_phase, col_phase))), "drain": h},
+        # Rows hop n - occupied_rows times in all, then the column occupied_rows - 1.
+        transfer_counts={"pe_to_pe": n - 1, "pe_to_mem": 1},
+        activity_trace=trace,
+    )
+
+
 def simulate_chain_reduction(
     n: int,
     cfg: MeshConfig | None = None,
@@ -81,28 +137,7 @@ def simulate_chain_reduction(
         cfg = MeshConfig.chain(n)
     if cfg.dimension != 1:
         raise ValueError("chain reduction needs a 1-D mesh config")
-    if cfg.extents[0] < n:
-        raise ValueError(f"chain extent {cfg.extents[0]} too small for n={n}")
-    a, b = resolve_vector_operands(n, operands, seed)
-    h = cfg.hop_latency
-
-    # n MAC clocks, a hop between consecutive PEs, and the exit hop.
-    acc = int(np.dot(a, b))
-    hops = n - 1
-    cycle = n * (1 + h)
-    trace = tuple(([1] + [0] * h) * n) if with_trace else None
-
-    transfers = {"pe_to_pe": hops, "pe_to_mem": 1}
-    phases = {"reduce": cycle - h, "drain": h}
-    return build_result(
-        cycle,
-        Matrix(1, 1, (acc,)),
-        n,
-        cfg.num_pes,
-        phases=phases,
-        transfer_counts=transfers,
-        activity_trace=trace,
-    )
+    return _sweep(n, cfg, operands, seed, with_trace, ("reduce",))
 
 
 def simulate_grid_reduction(
@@ -126,48 +161,7 @@ def simulate_grid_reduction(
         cfg = MeshConfig.grid(side, side)
     if cfg.dimension != 2:
         raise ValueError("grid reduction needs a 2-D mesh config")
-    rows, cols = cfg.extents
-    if rows * cols < n:
-        raise ValueError(f"grid {rows}x{cols} too small for n={n}")
-    a, b = resolve_vector_operands(n, operands, seed)
-    h = cfg.hop_latency
-
-    # Row-major occupancy: full rows of `cols` pairs, the last possibly partial.
-    occupied_rows = -(-n // cols)
-    max_len = min(cols, n)
-    last_len = n - (occupied_rows - 1) * cols
-
-    total = int(np.dot(a, b))
-
-    stage = h + 1  # hop + MAC clock per reduction stage
-    row_phase = 1 + (max_len - 1) * stage  # first MAC clock, then stages
-    col_phase = (occupied_rows - 1) * stage
-    cycles = row_phase + col_phase + h
-
-    # Rows hop n - occupied_rows times in all, then the column occupied_rows - 1.
-    hops = n - 1
-    mac_ops = n + (occupied_rows - 1)  # column combines occupy MAC units too
-
-    trace: tuple[int, ...] | None = None
-    if with_trace:
-        t = [0] * cycles
-        for j in range(max_len):
-            t[j * stage] = occupied_rows - (j >= last_len)  # rows MACing at stage j
-        for step in range(1, occupied_rows):
-            t[row_phase + step * stage - 1] += 1
-        trace = tuple(t)
-
-    transfers = {"pe_to_pe": hops, "pe_to_mem": 1}
-    phases = {"row_reduce": row_phase, "col_reduce": col_phase, "drain": h}
-    return build_result(
-        cycles,
-        Matrix(1, 1, (total,)),
-        mac_ops,
-        cfg.num_pes,
-        phases=phases,
-        transfer_counts=transfers,
-        activity_trace=trace,
-    )
+    return _sweep(n, cfg, operands, seed, with_trace, ("row_reduce", "col_reduce"))
 
 
 def empirical_bound_ratio(n: int, dimension: int, hop_latency: int = 1) -> float:

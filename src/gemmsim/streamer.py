@@ -152,10 +152,14 @@ def simulate_tree_inner_product(
     per level_latency clocks: cycles = 1 + ceil(log_fanout(n)) * L.  There is
     no PE-to-PE hop anywhere, which is what beats the mesh bound.
     """
-    a, b = resolve_vector_operands(n, operands, seed)
+    for name, value in (("fanout", fanout), ("level latency", level_latency)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    fanout, level_latency = int(fanout), int(level_latency)  # no numpy overflow in tree_time
     levels = tree_time(n, fanout)
     if level_latency < 1:
         raise ValueError(f"level latency must be >= 1, got {level_latency}")
+    a, b = resolve_vector_operands(n, operands, seed)
     cycles = 1 + levels * level_latency
 
     # Level l of CEs receives ceil(n / fanout**l) partial sums.

@@ -86,7 +86,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Matrix":
-        c = len(rows[0])
+        c = len(rows[0]) if rows else 0  # an empty list fails Matrix's 1x1 check
         if any(len(row) != c for row in rows):
             raise ValueError("ragged row lengths")
         return cls(len(rows), c, [e for row in rows for e in row])

@@ -1,6 +1,7 @@
 """Harness: config validation, experiment execution, reports, CLI, validate."""
 
 import csv
+import dataclasses
 import importlib
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gemmsim import Matrix
 from gemmsim.harness import cli, config
 from gemmsim.harness.config import ConfigError, resolve_config
 from gemmsim.harness.experiments import REPORT_COLUMNS, run_experiment
@@ -533,31 +535,36 @@ def test_validate_seed_insensitive():
         assert run_validation(seed=seed, corpus_size=8).ok
 
 
-def test_validate_detects_injected_fault(monkeypatch):
-    import gemmsim.systolic as systolic_mod
+# simulator -> (module, function) that run_validation calls it through
+VALIDATED_SIMULATORS = {
+    "systolic": ("systolic", "simulate_systolic_gemm"),
+    "streamer": ("streamer", "simulate_cs_gemm"),
+    "chain": ("meshflow", "simulate_chain_reduction"),
+    "grid": ("meshflow", "simulate_grid_reduction"),
+    "tree": ("streamer", "simulate_tree_inner_product"),
+}
+
+
+@pytest.mark.parametrize("simulator", VALIDATED_SIMULATORS)
+def test_validate_detects_injected_fault(monkeypatch, simulator):
+    """A wrong result from any simulator, reached through its public function, fails exactness."""
     from gemmsim.harness import validation as validation_mod
 
-    real = systolic_mod.simulate_systolic_gemm
+    module, name = VALIDATED_SIMULATORS[simulator]
+    real = getattr(getattr(validation_mod, module), name)
 
-    def corrupted(a, b, cfg, **kwargs):
-        res = real(a, b, cfg, **kwargs)
+    def corrupted(*args, **kwargs):
+        res = real(*args, **kwargs)
         broken = res.result.data.copy()
         broken[-1] += 1
-        return res.__class__(
-            cycles=res.cycles,
-            result=res.result.__class__(res.result.rows, res.result.cols, broken),
-            mac_ops_issued=res.mac_ops_issued,
-            num_units=res.num_units,
-            utilization=res.utilization,
-            steady_state_utilization=res.steady_state_utilization,
-            phases=res.phases,
-            transfer_counts=res.transfer_counts,
-            activity_trace=res.activity_trace,
-        )
+        return dataclasses.replace(res, result=Matrix(res.result.rows, res.result.cols, broken))
 
-    monkeypatch.setattr(validation_mod.systolic, "simulate_systolic_gemm", corrupted)
+    monkeypatch.setattr(getattr(validation_mod, module), name, corrupted)
     report = run_validation(seed=0, corpus_size=4)
     assert not report.ok
+    exactness = next(p for p in report.properties if p.name == "simulator_exactness")
+    assert exactness.failures
+    assert all(line.startswith(f"{simulator} ") for line in exactness.failures)
 
 
 def test_validate_cli_exit_codes(tmp_path, capsys):

@@ -56,6 +56,35 @@ def test_chain_extent_too_small():
         simulate_chain_reduction(8, MeshConfig.chain(7))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MeshConfig.chain(3, 1.5),
+        lambda: MeshConfig.chain(3, True),
+        lambda: MeshConfig.chain(3.0),
+        lambda: MeshConfig.chain(np.True_),
+        lambda: MeshConfig.grid(2, 2.5),
+        lambda: MeshConfig.grid(True, 3, 2),
+    ],
+    ids=["float-hop", "bool-hop", "float-extent", "numpy-bool-extent", "float-col", "bool-row"],
+)
+def test_mesh_parameters_must_be_integers(make):
+    """Floats and bools are rejected, never priced: a 1.5-clock hop gave 7.5 cycles."""
+    with pytest.raises(ValueError, match="extents and hop latency must be integers"):
+        make()
+
+
+def test_mesh_accepts_numpy_integers_as_python_ints():
+    cfg = MeshConfig.grid(np.uint8(2), np.uint8(3), np.int16(2))
+    assert cfg == MeshConfig.grid(2, 3, 2)
+    assert all(type(v) is int for v in (*cfg.extents, cfg.hop_latency))
+    # uint8 extents used to overflow in the occupancy arithmetic.
+    assert simulate_grid_reduction(5, cfg) == simulate_grid_reduction(5, MeshConfig.grid(2, 3, 2))
+    chain = simulate_chain_reduction(3, MeshConfig.chain(np.int64(3), np.int64(2)))
+    assert chain == simulate_chain_reduction(3, MeshConfig.chain(3, 2))
+    assert type(chain.cycles) is int
+
+
 def test_explicit_operands_out_of_range_rejected():
     with pytest.raises(ValueError, match="operand element 128 outside"):
         simulate_chain_reduction(2, operands=((1, 2), (128, 3)))

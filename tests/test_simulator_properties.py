@@ -145,6 +145,18 @@ def test_grid(n, cols, spare_rows, hop, with_trace):
 
 
 @SETTINGS
+@given(SIDE, st.integers(0, 3), st.integers(1, 3))
+def test_chain_is_the_one_row_grid(n, spare, hop):
+    """A chain of extent e runs exactly as a 1 x e grid, whose column phase is empty."""
+    chain = simulate_chain_reduction(n, MeshConfig.chain(n + spare, hop), seed=n, with_trace=True)
+    grid = simulate_grid_reduction(n, MeshConfig.grid(1, n + spare, hop), seed=n, with_trace=True)
+    for field in ("cycles", "result", "mac_ops_issued", "num_units", "transfer_counts", "activity_trace"):
+        assert getattr(chain, field) == getattr(grid, field), field
+    assert chain.phases == {"reduce": grid.phases["row_reduce"], "drain": grid.phases["drain"]}
+    assert grid.phases["col_reduce"] == 0
+
+
+@SETTINGS
 @given(SIDE, st.integers(2, 9), st.integers(1, 3), st.booleans())
 def test_tree(n, fanout, latency, with_trace):
     a, b = make_vectors(n, n)

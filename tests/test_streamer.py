@@ -1,7 +1,9 @@
 """Collective-streaming tree: construction, latency, inner products, GEMM."""
 
 import random
+import re
 
+import numpy as np
 import pytest
 
 from gemmsim import (
@@ -108,6 +110,35 @@ def test_tree_inner_product_transfers():
 def test_tree_inner_product_rejects_bad_level_latency(latency):
     with pytest.raises(ValueError, match=f"level latency must be >= 1, got {latency}"):
         simulate_tree_inner_product(16, 2, latency)
+
+
+@pytest.mark.parametrize(
+    "fanout, latency, message",
+    [
+        (2.5, 1, "fanout must be an integer, got 2.5"),
+        (True, 1, "fanout must be an integer, got True"),
+        (2, 1.5, "level latency must be an integer, got 1.5"),
+        (2, np.True_, "level latency must be an integer, got np.True_"),
+        (2, 0, "level latency must be >= 1, got 0"),
+        (1, 1, "fanout must be >= 2, got 1"),
+    ],
+    ids=["float-fanout", "bool-fanout", "float-latency", "numpy-bool-latency", "zero-latency", "unary-fanout"],
+)
+def test_tree_inner_product_checks_parameters_before_drawing(monkeypatch, fanout, latency, message):
+    """Bad tree parameters fail before any operand is drawn, and floats and bools are not priced."""
+
+    def no_draw(*args):
+        raise AssertionError("operands drawn before the tree parameters were checked")
+
+    monkeypatch.setattr(streamer, "resolve_vector_operands", no_draw)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate_tree_inner_product(2**20, fanout, latency)
+
+
+def test_tree_inner_product_accepts_numpy_integers():
+    res = simulate_tree_inner_product(8, np.int64(2), np.int32(3))
+    assert res == simulate_tree_inner_product(8, 2, 3)
+    assert type(res.cycles) is int
 
 
 def test_cs_gemm_trivial():

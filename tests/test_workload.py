@@ -63,6 +63,12 @@ def test_matrix_accessors():
     assert Matrix.from_numpy(m.to_numpy()) == m
 
 
+@pytest.mark.parametrize("rows", [[], [[]], [[], []]], ids=["no-rows", "one-empty-row", "two-empty-rows"])
+def test_matrix_from_empty_rows_is_rejected(rows):
+    with pytest.raises(ValueError, match="matrix must be at least 1x1"):
+        Matrix.from_rows(rows)
+
+
 @pytest.mark.parametrize(
     "data",
     [

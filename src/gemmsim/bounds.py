@@ -9,6 +9,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .workload import as_count
+
 
 @dataclass(frozen=True)
 class MeshBoundInput:
@@ -90,10 +92,7 @@ def tree_time(n: int, fanout: int) -> int:
     Computed with integer arithmetic so no floating-point log rounding can
     change the level count.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if fanout < 2:
-        raise ValueError(f"fanout must be >= 2, got {fanout}")
+    n, fanout = as_count(n, "n", 1), as_count(fanout, "fanout", 2)
     levels = 0
     reach = 1
     while reach < n:

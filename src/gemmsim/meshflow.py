@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import fisher_bound, inner_product_bound_input
 from .results import SimResult, build_result
-from .workload import Matrix, resolve_vector_operands
+from .workload import Matrix, as_count, resolve_vector_operands
 
 
 @dataclass(frozen=True)
@@ -32,18 +32,10 @@ class MeshConfig:
     hop_latency: int = 1
 
     def __post_init__(self) -> None:
-        values = (*self.extents, self.hop_latency)
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in values):
-            raise ValueError(f"extents and hop latency must be integers, got {values}")
-        # Python ints, so that no numpy integer type can overflow in the sweep.
-        object.__setattr__(self, "extents", tuple(map(int, self.extents)))
-        object.__setattr__(self, "hop_latency", int(self.hop_latency))
+        object.__setattr__(self, "extents", tuple(as_count(e, "extent", 1) for e in self.extents))
+        object.__setattr__(self, "hop_latency", as_count(self.hop_latency, "hop latency", 1))
         if self.dimension not in (1, 2):
             raise ValueError(f"mesh dimension must be 1 or 2, got {self.dimension}")
-        if any(e < 1 for e in self.extents):
-            raise ValueError(f"extents must be >= 1, got {self.extents}")
-        if self.hop_latency < 1:
-            raise ValueError(f"hop latency must be >= 1, got {self.hop_latency}")
 
     @classmethod
     def chain(cls, extent: int, hop_latency: int = 1) -> "MeshConfig":
@@ -79,8 +71,17 @@ def _sweep(
     """Row-major MAC-and-forward sweep on rows of extents[-1] PEs.
 
     stage_names names the row phase and, for a grid, the column phase; a
-    chain is the one-row case, whose column phase is empty.
+    chain is the one-row case, whose column phase is empty.  With no config
+    the sweep runs on the smallest chain or square grid that holds n pairs.
     """
+    n = as_count(n, "inner product length", 1)
+    dimension = len(stage_names)
+    if cfg is None:
+        side = n if dimension == 1 else covering_side(n)
+        cfg = MeshConfig((side,) * dimension)
+    if cfg.dimension != dimension:
+        name = "chain" if dimension == 1 else "grid"
+        raise ValueError(f"{name} reduction needs a {dimension}-D mesh config")
     if cfg.num_pes < n:
         raise ValueError(f"mesh extents {cfg.extents} too small for n={n}")
     a, b = resolve_vector_operands(n, operands, seed)
@@ -133,10 +134,6 @@ def simulate_chain_reduction(
     hop_latency transfer clocks, and the final scalar pays one more hop into
     the collecting memory at the far end.
     """
-    if cfg is None:
-        cfg = MeshConfig.chain(n)
-    if cfg.dimension != 1:
-        raise ValueError("chain reduction needs a 1-D mesh config")
     return _sweep(n, cfg, operands, seed, with_trace, ("reduce",))
 
 
@@ -156,11 +153,6 @@ def simulate_grid_reduction(
     and the scalar exits the grid with one final hop.  The row phase waits
     for the longest row, keeping the schedule deterministic.
     """
-    if cfg is None:
-        side = covering_side(n)
-        cfg = MeshConfig.grid(side, side)
-    if cfg.dimension != 2:
-        raise ValueError("grid reduction needs a 2-D mesh config")
     return _sweep(n, cfg, operands, seed, with_trace, ("row_reduce", "col_reduce"))
 
 

@@ -22,6 +22,7 @@ from .workload import (
     OPERAND_MAX,
     OPERAND_MIN,
     Matrix,
+    as_count,
     outer_product_schedule,
     require_operand_range,
     resolve_vector_operands,
@@ -52,14 +53,13 @@ class CETree:
     root_port_width: int
 
     def __post_init__(self) -> None:
-        if self.num_pes < 1:
-            raise ValueError(f"PE count must be >= 1, got {self.num_pes}")
-        if self.fanout < 2:
-            raise ValueError(f"fanout must be >= 2, got {self.fanout}")
-        if self.level_latency < 1:
-            raise ValueError(f"level latency must be >= 1, got {self.level_latency}")
-        if self.root_port_width < 1:
-            raise ValueError(f"root port width must be >= 1, got {self.root_port_width}")
+        for name, label, minimum in (
+            ("num_pes", "PE count", 1),
+            ("fanout", "fanout", 2),
+            ("level_latency", "level latency", 1),
+            ("root_port_width", "root port width", 1),
+        ):
+            object.__setattr__(self, name, as_count(getattr(self, name), label, minimum))
 
     @property
     def levels(self) -> int:
@@ -152,13 +152,10 @@ def simulate_tree_inner_product(
     per level_latency clocks: cycles = 1 + ceil(log_fanout(n)) * L.  There is
     no PE-to-PE hop anywhere, which is what beats the mesh bound.
     """
-    for name, value in (("fanout", fanout), ("level latency", level_latency)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    fanout, level_latency = int(fanout), int(level_latency)  # no numpy overflow in tree_time
+    n = as_count(n, "inner product length", 1)
+    fanout = as_count(fanout, "fanout", 2)
+    level_latency = as_count(level_latency, "level latency", 1)
     levels = tree_time(n, fanout)
-    if level_latency < 1:
-        raise ValueError(f"level latency must be >= 1, got {level_latency}")
     a, b = resolve_vector_operands(n, operands, seed)
     cycles = 1 + levels * level_latency
 
@@ -221,8 +218,7 @@ def simulate_cs_gemm(
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
     require_operand_range(a, b)
     m, k, n = a.rows, a.cols, b.cols
-    if block_width < 1:
-        raise ValueError(f"block width must be >= 1, got {block_width}")
+    block_width = as_count(block_width, "block width", 1)
     if tree.num_pes > m * n:
         raise ValueError(f"{tree.num_pes} PEs cannot each own an output of a {m}x{n} result")
     steps = outer_product_schedule(a, b, min(block_width, k))

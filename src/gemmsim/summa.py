@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import CollectiveKind, CommModel, collective_cost
-from .workload import GemmShape
+from .workload import GemmShape, as_count
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,11 @@ class ClusterModel:
     element_bytes: int = 4
 
     def __post_init__(self) -> None:
-        if self.p_rows < 1 or self.p_cols < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.p_rows}x{self.p_cols}")
+        labels = {"p_rows": "grid rows", "p_cols": "grid cols", "element_bytes": "element bytes"}
+        for name, label in labels.items():
+            object.__setattr__(self, name, as_count(getattr(self, name), label, 1))
         if self.node_mac_rate <= 0:
             raise ValueError(f"node MAC rate must be positive, got {self.node_mac_rate}")
-        if self.element_bytes < 1:
-            raise ValueError(f"element width must be >= 1 byte, got {self.element_bytes}")
 
     @property
     def num_nodes(self) -> int:
@@ -64,8 +63,7 @@ def simulate_summa(shape: GemmShape, block_width: int, cluster: ClusterModel) ->
     """
     from fractions import Fraction  # imported here: no other model needs it
 
-    if block_width < 1:
-        raise ValueError(f"block width must be >= 1, got {block_width}")
+    block_width = as_count(block_width, "block width", 1)
     m, n, k = shape.m, shape.n, shape.k
     rows_per_node = math.ceil(m / cluster.p_rows)
     cols_per_node = math.ceil(n / cluster.p_cols)

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .results import SimResult, build_result
-from .workload import OPERAND_MAX, OPERAND_MIN, GemmShape, Matrix, require_operand_range
+from .workload import OPERAND_MAX, OPERAND_MIN, GemmShape, Matrix, as_count, require_operand_range
 
 # In-range products are at most 2^14 in magnitude, and every partial sum and
 # every k-tile sum of the bottom rows adds at most k of them, so int32 state
@@ -43,8 +43,8 @@ class SystolicConfig:
     cols: int
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"array must be at least 1x1, got {self.rows}x{self.cols}")
+        for name in ("rows", "cols"):
+            object.__setattr__(self, name, as_count(getattr(self, name), f"array {name}", 1))
 
     @property
     def num_pes(self) -> int:

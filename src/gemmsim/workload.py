@@ -23,6 +23,22 @@ OPERAND_MIN = -128
 OPERAND_MAX = 127
 
 
+def as_count(value: object, name: str, minimum: int) -> int:
+    """The simulators' one rule for an integer parameter, returned as a Python int.
+
+    value must be a Python or numpy integer, never a bool (Python or
+    ``np.bool_``) or a float, and at least minimum.  The result is a Python
+    int, so no numpy integer type can wrap in the arithmetic it feeds.
+    """
+    if type(value) is not int:  # the common case skips both isinstance checks
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class GemmShape:
     """Dimensions of C (m x n) = A (m x k) . B (k x n)."""
@@ -33,9 +49,7 @@ class GemmShape:
 
     def __post_init__(self) -> None:
         for name in ("m", "n", "k"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"shape field {name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, as_count(getattr(self, name), f"shape field {name}", 1))
 
     @property
     def macs(self) -> int:
@@ -131,8 +145,7 @@ def resolve_vector_operands(
 
     Either way the vectors are read-only int64 arrays of length n.
     """
-    if n < 1:
-        raise ValueError(f"inner product length must be >= 1, got {n}")
+    n = as_count(n, "inner product length", 1)
     if operands is None:
         return make_vectors(n, seed)
     if any(len(v) != n for v in operands):
@@ -262,8 +275,7 @@ def make_vectors(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns two read-only int64 views of one draw of 2n values: a, then b.
     """
-    if n < 1:
-        raise ValueError(f"vector length must be >= 1, got {n}")
+    n = as_count(n, "vector length", 1)
     ops = _draw_operands(random.Random(seed), 2 * n)
     ops.flags.writeable = False
     return ops[:n], ops[n:]

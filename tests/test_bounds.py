@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gemmsim import (
@@ -63,6 +64,8 @@ def test_tree_time_examples():
     assert tree_time(9, 2) == 4
     assert tree_time(16, 4) == 2
     assert tree_time(10, 2) == 4
+    # A uint8 fanout used to wrap to 0 and loop forever.
+    assert tree_time(300, np.uint8(2)) == 9
 
 
 def test_tree_time_is_minimal_cover():

@@ -545,26 +545,68 @@ VALIDATED_SIMULATORS = {
 }
 
 
-@pytest.mark.parametrize("simulator", VALIDATED_SIMULATORS)
-def test_validate_detects_injected_fault(monkeypatch, simulator):
-    """A wrong result from any simulator, reached through its public function, fails exactness."""
+def inject_fault(monkeypatch, simulator, fault):
+    """Make run_validation's calls to a simulator return fault(its real result)."""
     from gemmsim.harness import validation as validation_mod
 
     module, name = VALIDATED_SIMULATORS[simulator]
-    real = getattr(getattr(validation_mod, module), name)
+    owner = getattr(validation_mod, module)
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: fault(real(*args, **kwargs)))
 
-    def corrupted(*args, **kwargs):
-        res = real(*args, **kwargs)
+
+@pytest.mark.parametrize("simulator", VALIDATED_SIMULATORS)
+def test_validate_detects_injected_fault(monkeypatch, simulator):
+    """A wrong result from any simulator, reached through its public function, fails exactness."""
+
+    def corrupted(res):
         broken = res.result.data.copy()
         broken[-1] += 1
         return dataclasses.replace(res, result=Matrix(res.result.rows, res.result.cols, broken))
 
-    monkeypatch.setattr(getattr(validation_mod, module), name, corrupted)
+    inject_fault(monkeypatch, simulator, corrupted)
     report = run_validation(seed=0, corpus_size=4)
     assert not report.ok
     exactness = next(p for p in report.properties if p.name == "simulator_exactness")
     assert exactness.failures
     assert all(line.startswith(f"{simulator} ") for line in exactness.failures)
+
+
+# fault -> (simulator, the fault, the one property that must catch it)
+FIELD_FAULTS = {
+    "systolic-cycles": (
+        "systolic",
+        lambda res: dataclasses.replace(res, cycles=res.cycles + 1),
+        "systolic_formula_agreement",
+    ),
+    "systolic-macs": (
+        "systolic",
+        lambda res: dataclasses.replace(res, mac_ops_issued=res.mac_ops_issued + 1),
+        "mac_conservation",
+    ),
+    "streamer-macs": (
+        "streamer",
+        lambda res: dataclasses.replace(res, mac_ops_issued=res.mac_ops_issued + 1),
+        "mac_conservation",
+    ),
+    "streamer-hop": (
+        "streamer",
+        lambda res: dataclasses.replace(res, transfer_counts={**res.transfer_counts, "pe_to_pe": 1}),
+        "streamer_no_hop",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FIELD_FAULTS)
+def test_validate_fault_fails_only_its_property(monkeypatch, fault):
+    """A wrong cycle count, MAC count or PE-to-PE transfer fails the property that checks it, alone."""
+    simulator, corrupt, prop = FIELD_FAULTS[fault]
+    inject_fault(monkeypatch, simulator, corrupt)
+    report = run_validation(seed=0, corpus_size=4)
+    failed = {p.name: p.failures for p in report.properties if p.failures}
+    assert list(failed) == [prop]
+    assert len(failed[prop]) == 4  # once per corpus instance
+    assert all(line.startswith(f"{simulator} ") for line in failed[prop])
 
 
 def test_validate_cli_exit_codes(tmp_path, capsys):

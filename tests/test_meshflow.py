@@ -57,20 +57,31 @@ def test_chain_extent_too_small():
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, name",
     [
-        lambda: MeshConfig.chain(3, 1.5),
-        lambda: MeshConfig.chain(3, True),
-        lambda: MeshConfig.chain(3.0),
-        lambda: MeshConfig.chain(np.True_),
-        lambda: MeshConfig.grid(2, 2.5),
-        lambda: MeshConfig.grid(True, 3, 2),
+        (lambda: MeshConfig.chain(3, 1.5), "hop latency"),
+        (lambda: MeshConfig.chain(3, True), "hop latency"),
+        (lambda: MeshConfig.chain(3.0), "extent"),
+        (lambda: MeshConfig.chain(np.True_), "extent"),
+        (lambda: MeshConfig.grid(2, 2.5), "extent"),
+        (lambda: MeshConfig.grid(True, 3, 2), "extent"),
+        (lambda: simulate_chain_reduction(True), "inner product length"),
+        (lambda: simulate_grid_reduction(3.5, MeshConfig.grid(2, 2)), "inner product length"),
     ],
-    ids=["float-hop", "bool-hop", "float-extent", "numpy-bool-extent", "float-col", "bool-row"],
+    ids=[
+        "float-hop",
+        "bool-hop",
+        "float-extent",
+        "numpy-bool-extent",
+        "float-col",
+        "bool-row",
+        "bool-chain-length",
+        "float-grid-length",
+    ],
 )
-def test_mesh_parameters_must_be_integers(make):
+def test_mesh_parameters_must_be_integers(make, name):
     """Floats and bools are rejected, never priced: a 1.5-clock hop gave 7.5 cycles."""
-    with pytest.raises(ValueError, match="extents and hop latency must be integers"):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         make()
 
 

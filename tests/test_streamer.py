@@ -52,6 +52,12 @@ def test_build_tree_defaults_and_validation():
     with pytest.raises(ValueError):
         build_ce_tree(8, 1)
     assert CETree(8, 2, 1, 4).levels == 3  # derived from PEs and fanout
+    with pytest.raises(ValueError, match="level latency must be an integer, got 1.5"):
+        build_ce_tree(4, 2, 1.5)  # priced a 2x2x2 GEMM at 12.0 cycles
+    tree = CETree(300, np.uint8(2), 1, 1)
+    # Checked before .levels: a uint8 fanout wrapped to 0 and never reached 300.
+    assert type(tree.fanout) is int
+    assert tree.levels == 9
 
 
 def test_collective_latency():
@@ -113,18 +119,29 @@ def test_tree_inner_product_rejects_bad_level_latency(latency):
 
 
 @pytest.mark.parametrize(
-    "fanout, latency, message",
+    "n, fanout, latency, message",
     [
-        (2.5, 1, "fanout must be an integer, got 2.5"),
-        (True, 1, "fanout must be an integer, got True"),
-        (2, 1.5, "level latency must be an integer, got 1.5"),
-        (2, np.True_, "level latency must be an integer, got np.True_"),
-        (2, 0, "level latency must be >= 1, got 0"),
-        (1, 1, "fanout must be >= 2, got 1"),
+        (2**20, 2.5, 1, "fanout must be an integer, got 2.5"),
+        (2**20, True, 1, "fanout must be an integer, got True"),
+        (2**20, 2, 1.5, "level latency must be an integer, got 1.5"),
+        (2**20, 2, np.True_, "level latency must be an integer, got np.True_"),
+        (2**20, 2, 0, "level latency must be >= 1, got 0"),
+        (2**20, 1, 1, "fanout must be >= 2, got 1"),
+        (True, 2, 1, "inner product length must be an integer, got True"),
+        (16.0, 2, 1, "inner product length must be an integer, got 16.0"),
     ],
-    ids=["float-fanout", "bool-fanout", "float-latency", "numpy-bool-latency", "zero-latency", "unary-fanout"],
+    ids=[
+        "float-fanout",
+        "bool-fanout",
+        "float-latency",
+        "numpy-bool-latency",
+        "zero-latency",
+        "unary-fanout",
+        "bool-length",
+        "float-length",
+    ],
 )
-def test_tree_inner_product_checks_parameters_before_drawing(monkeypatch, fanout, latency, message):
+def test_tree_inner_product_checks_parameters_before_drawing(monkeypatch, n, fanout, latency, message):
     """Bad tree parameters fail before any operand is drawn, and floats and bools are not priced."""
 
     def no_draw(*args):
@@ -132,7 +149,7 @@ def test_tree_inner_product_checks_parameters_before_drawing(monkeypatch, fanout
 
     monkeypatch.setattr(streamer, "resolve_vector_operands", no_draw)
     with pytest.raises(ValueError, match=re.escape(message)):
-        simulate_tree_inner_product(2**20, fanout, latency)
+        simulate_tree_inner_product(n, fanout, latency)
 
 
 def test_tree_inner_product_accepts_numpy_integers():
@@ -298,5 +315,6 @@ def test_cs_gemm_utilization_bounded():
 def test_cs_gemm_block_width_validation():
     shape = GemmShape(4, 4, 4)
     a, b = make_gemm(shape, 0)
-    with pytest.raises(ValueError):
-        simulate_cs_gemm(a, b, build_ce_tree(4), 0)
+    for width in (0, 1.0, True):
+        with pytest.raises(ValueError, match="block width must be"):
+            simulate_cs_gemm(a, b, build_ce_tree(4), width)

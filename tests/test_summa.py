@@ -61,8 +61,9 @@ def test_block_width_free_choice():
         res = simulate_summa(shape, width, cluster)
         assert res.steps == -(-256 // width)
         assert res.mac_ops == shape.macs
-    with pytest.raises(ValueError):
-        simulate_summa(shape, 0, cluster)
+    for width in (0, 1.0, True):
+        with pytest.raises(ValueError, match="block width must be"):
+            simulate_summa(shape, width, cluster)
 
 
 def test_alpha_dominated_regime_prefers_wide_blocks():

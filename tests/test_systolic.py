@@ -110,6 +110,12 @@ def test_dimension_mismatch_rejected():
         simulate_systolic_gemm(a, b, SystolicConfig(2, 2))
 
 
+@pytest.mark.parametrize("rows", [2.0, True], ids=["float", "bool"])
+def test_array_extents_must_be_integers(rows):
+    with pytest.raises(ValueError, match=f"array rows must be an integer, got {rows!r}"):
+        SystolicConfig(rows, 2)
+
+
 def test_operand_range_enforced():
     a = Matrix.from_rows([[300]])
     b = Matrix.from_rows([[1]])

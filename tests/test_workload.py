@@ -44,6 +44,11 @@ def test_shape_validation():
         GemmShape(0, 1, 1)
     with pytest.raises(ValueError):
         GemmShape(1, 1, -3)
+    with pytest.raises(ValueError, match="shape field m must be an integer, got True"):
+        GemmShape(True, 2, 2)
+    shape = GemmShape(np.int64(2), 2, 2)
+    assert type(shape.m) is int
+    assert shape == GemmShape(2, 2, 2)
 
 
 def test_matrix_validation():

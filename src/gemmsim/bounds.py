@@ -7,6 +7,7 @@ the simulators and the validation suite compare themselves against.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .workload import as_count
@@ -26,9 +27,9 @@ class MeshBoundInput:
     dimension: int
 
     def __post_init__(self) -> None:
-        if self.inputs < 1 or self.outputs < 1 or self.computations < 1:
-            raise ValueError("inputs, outputs and computations must all be >= 1")
-        if self.dimension not in (1, 2, 3):
+        for name in ("inputs", "outputs", "computations", "dimension"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, 1))
+        if self.dimension > 3:
             raise ValueError(f"mesh dimension must be 1, 2 or 3, got {self.dimension}")
 
 
@@ -49,8 +50,8 @@ class CommModel:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError(f"alpha and beta must be finite and >= 0, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,7 @@ def inner_product_bound_input(n: int, dimension: int) -> MeshBoundInput:
     element pair).  The mesh simulators' bound-respect checks use exactly
     this convention.
     """
-    if n < 1:
-        raise ValueError(f"inner product length must be >= 1, got {n}")
+    n = as_count(n, "inner product length", 1)
     return MeshBoundInput(inputs=2 * n, outputs=1, computations=n, dimension=dimension)
 
 
@@ -108,8 +108,7 @@ def dark_silicon(generation: int) -> DarkSiliconPoint:
     from generation 1 on (min(1, 2^(1-g))), so the effective multiplier
     saturates at 2: more cores stop paying off.
     """
-    if generation < 0:
-        raise ValueError(f"generation must be >= 0, got {generation}")
+    generation = as_count(generation, "generation", 0)
     cores = float(2**generation)
     powered = min(1.0, 2.0 ** (1 - generation))
     return DarkSiliconPoint(cores, powered, cores * powered)
@@ -123,10 +122,7 @@ def collective_cost(kind: CollectiveKind, p: int, nbytes: int, model: CommModel)
       scatter, gather:    ceil(log2 p) * alpha + ((p-1)/p) * beta * nbytes
     where nbytes is the full payload size.  p = 1 costs nothing.
     """
-    if p < 1:
-        raise ValueError(f"participant count must be >= 1, got {p}")
-    if nbytes < 0:
-        raise ValueError(f"byte count must be >= 0, got {nbytes}")
+    p, nbytes = as_count(p, "participant count", 1), as_count(nbytes, "byte count", 0)
     if p == 1:
         return 0.0
     rounds = tree_time(p, 2)

@@ -19,8 +19,7 @@ import numpy as np
 from .bounds import tree_time
 from .results import SimResult, build_result
 from .workload import (
-    OPERAND_MAX,
-    OPERAND_MIN,
+    PRODUCT_MAX,
     Matrix,
     as_count,
     outer_product_schedule,
@@ -34,7 +33,7 @@ DEFAULT_LEVEL_LATENCY = 1
 # In-range products are at most 2^14 in magnitude, so every partial sum of a
 # dot product shorter than this is an integer below 2^53: float64 holds it
 # exactly, in whatever order BLAS adds.
-FLOAT64_EXACT_K = 2**53 // max(-OPERAND_MIN, OPERAND_MAX) ** 2
+FLOAT64_EXACT_K = 2**53 // PRODUCT_MAX
 
 
 @dataclass(frozen=True)

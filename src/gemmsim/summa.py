@@ -31,8 +31,8 @@ class ClusterModel:
         labels = {"p_rows": "grid rows", "p_cols": "grid cols", "element_bytes": "element bytes"}
         for name, label in labels.items():
             object.__setattr__(self, name, as_count(getattr(self, name), label, 1))
-        if self.node_mac_rate <= 0:
-            raise ValueError(f"node MAC rate must be positive, got {self.node_mac_rate}")
+        if not 0 < self.node_mac_rate < math.inf:
+            raise ValueError(f"node MAC rate must be finite and > 0, got {self.node_mac_rate}")
 
     @property
     def num_nodes(self) -> int:

@@ -27,12 +27,12 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .results import SimResult, build_result
-from .workload import OPERAND_MAX, OPERAND_MIN, GemmShape, Matrix, as_count, require_operand_range
+from .workload import PRODUCT_MAX, GemmShape, Matrix, as_count, require_operand_range
 
 # In-range products are at most 2^14 in magnitude, and every partial sum and
 # every k-tile sum of the bottom rows adds at most k of them, so int32 state
 # holds each one exactly while k is below this.
-INT32_EXACT_K = 2**31 // max(-OPERAND_MIN, OPERAND_MAX) ** 2
+INT32_EXACT_K = 2**31 // PRODUCT_MAX
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ import numpy as np
 # float64 one is exact while k < 2^53 / 2^14 = 2^39 (the streamer's product).
 OPERAND_MIN = -128
 OPERAND_MAX = 127
+PRODUCT_MAX = max(-OPERAND_MIN, OPERAND_MAX) ** 2  # the largest |a*b|
 
 
 def as_count(value: object, name: str, minimum: int) -> int:
-    """The simulators' one rule for an integer parameter, returned as a Python int.
+    """The one rule for an integer parameter of a simulator or an analytic model.
 
     value must be a Python or numpy integer, never a bool (Python or
     ``np.bool_``) or a float, and at least minimum.  The result is a Python
@@ -70,8 +71,11 @@ class Matrix:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"matrix must be at least 1x1, got {self.rows}x{self.cols}")
+        rows, cols = self.rows, self.cols
+        # Valid int shapes skip as_count: from_numpy runs this per conversion.
+        if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
+            object.__setattr__(self, "rows", as_count(rows, "matrix rows", 1))
+            object.__setattr__(self, "cols", as_count(cols, "matrix cols", 1))
         data = self.data
         if not isinstance(data, np.ndarray):
             # numpy silently turns bools mixed with ints into ints.
@@ -100,7 +104,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Matrix":
-        c = len(rows[0]) if rows else 0  # an empty list fails Matrix's 1x1 check
+        c = len(rows[0]) if rows else 0  # an empty list fails Matrix's row count
         if any(len(row) != c for row in rows):
             raise ValueError("ragged row lengths")
         return cls(len(rows), c, [e for row in rows for e in row])
@@ -332,8 +336,8 @@ def outer_product_schedule(a: Matrix, b: Matrix, block_width: int) -> list[tuple
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
-    k = a.cols
-    if block_width < 1 or block_width > k:
+    k, block_width = a.cols, as_count(block_width, "block width", 1)
+    if block_width > k:
         raise ValueError(f"block width must be in [1, {k}], got {block_width}")
     an, bn = a.to_numpy(), b.to_numpy()
     blocks = [slice(lo, lo + block_width) for lo in range(0, k, block_width)]

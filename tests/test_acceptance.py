@@ -85,7 +85,7 @@ def test_c4_mesh_bound_respect():
     for dimension in (1, 2):
         for exp in range(4, 13):
             n = 2**exp
-            ratio = empirical_bound_ratio(n, dimension, hop_latency=1)
+            ratio = empirical_bound_ratio(n, dimension)
             if ratio < 1.0:
                 violations.append((n, dimension, ratio))
     assert violations == []

@@ -23,6 +23,21 @@ def test_bound_input_validation():
         MeshBoundInput(0, 1, 1, 1)
     with pytest.raises(ValueError):
         MeshBoundInput(1, 1, 1, 4)
+    for fields, name in (
+        ((2.5, 1, 1, 1), "inputs"),
+        ((2, 1.0, 1, 1), "outputs"),
+        ((2, 1, 1.5, 1), "computations"),
+        ((2, 1, 1, True), "dimension"),
+        ((2, 1, 1, 2.0), "dimension"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            MeshBoundInput(*fields)
+    # 2.5 used to price inputs=5.0 and computations=2.5.
+    with pytest.raises(ValueError, match="^inner product length must be an integer"):
+        inner_product_bound_input(2.5, 1)
+    problem = MeshBoundInput(np.int64(32), np.uint8(1), np.int32(16), np.int64(1))
+    assert all(type(value) is int for value in vars(problem).values())
+    assert type(fisher_bound(problem)) is float
 
 
 def test_fisher_bound_inner_product_1d():
@@ -107,6 +122,12 @@ def test_dark_silicon_effective_multiplier_saturates():
         assert dark_silicon(g).effective_multiplier == 2.0
     with pytest.raises(ValueError):
         dark_silicon(-1)
+    # A uint8 generation used to wrap 2**200 to 0 and give multipliers of 0.0.
+    assert dark_silicon(np.uint8(200)) == dark_silicon(200)
+    assert dark_silicon(np.uint8(200)).effective_multiplier == 2.0
+    for generation in (2.5, True):
+        with pytest.raises(ValueError, match="^generation must be an integer"):
+            dark_silicon(generation)
 
 
 def test_ceil_log2():
@@ -154,3 +175,13 @@ def test_collective_cost_validation():
         collective_cost(CollectiveKind.BROADCAST, 2, -1, model)
     with pytest.raises(ValueError):
         CommModel(-1e-9, 0.0)
+    # p = True used to cost 0.0; p = 2.5 was rejected as an `n`.
+    with pytest.raises(ValueError, match="^participant count must be an integer"):
+        collective_cost(CollectiveKind.BROADCAST, True, 10, model)
+    with pytest.raises(ValueError, match="^participant count must be an integer"):
+        collective_cost(CollectiveKind.BROADCAST, 2.5, 10, model)
+    with pytest.raises(ValueError, match="^byte count must be an integer"):
+        collective_cost(CollectiveKind.BROADCAST, 2, 2.5, model)
+    for alpha, beta in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="^alpha and beta must be finite"):
+            CommModel(alpha, beta)

@@ -140,6 +140,10 @@ def test_cluster_validation():
         ClusterModel(0, 4, CommModel(0, 0), 1e9)
     with pytest.raises(ValueError):
         ClusterModel(4, 4, CommModel(0, 0), 0.0)
+    # A nan rate used to give simulate_summa a total_time of nan.
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^node MAC rate must be finite"):
+            ClusterModel(2, 2, CommModel(0, 0), rate)
     with pytest.raises(ValueError):
         ClusterModel(4, 4, CommModel(0, 0), 1e9, element_bytes=0)
 

@@ -70,7 +70,7 @@ def test_matrix_accessors():
 
 @pytest.mark.parametrize("rows", [[], [[]], [[], []]], ids=["no-rows", "one-empty-row", "two-empty-rows"])
 def test_matrix_from_empty_rows_is_rejected(rows):
-    with pytest.raises(ValueError, match="matrix must be at least 1x1"):
+    with pytest.raises(ValueError, match=r"^matrix (rows|cols) must be >= 1, got 0$"):
         Matrix.from_rows(rows)
 
 
@@ -92,10 +92,22 @@ def test_matrix_rejects_non_int64_elements(data):
         Matrix(1, 2, data)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, name",
+    [(2.0, 2, "rows"), (2, 2.0, "cols"), (True, 4, "rows"), (4, np.True_, "cols")],
+    ids=["float-rows", "float-cols", "bool-rows", "numpy-bool-cols"],
+)
+def test_matrix_dimensions_must_be_integers(rows, cols, name):
+    with pytest.raises(ValueError, match=f"^matrix {name} must be an integer"):
+        Matrix(rows, cols, [1, 2, 3, 4])
+
+
 def test_matrix_accepts_int64_range_and_numpy_ints():
     m = Matrix(1, 3, (np.int64(2**63 - 1), -(2**63), np.uint8(7)))
     assert m.row(0) == (2**63 - 1, -(2**63), 7)
     assert m.data.dtype == np.int64
+    m = Matrix(np.int64(2), np.uint8(2), [1, 2, 3, 4])
+    assert type(m.rows) is int and type(m.cols) is int
 
 
 def test_matrix_storage_is_read_only():
@@ -360,6 +372,10 @@ def test_schedule_width_errors():
         outer_product_schedule(a, b, 0)
     with pytest.raises(ValueError):
         outer_product_schedule(a, b, 5)
+    # True used to give k one-wide blocks and 1.5 a TypeError from range.
+    for width in (True, 1.5):
+        with pytest.raises(ValueError, match="^block width must be an integer"):
+            outer_product_schedule(a, b, width)
 
 
 def test_schedule_property_random():

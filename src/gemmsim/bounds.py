@@ -109,7 +109,7 @@ def dark_silicon(generation: int) -> DarkSiliconPoint:
     saturates at 2: more cores stop paying off.
     """
     generation = as_count(generation, "generation", 0)
-    cores = float(2**generation)
+    cores = math.ldexp(1.0, generation)  # OverflowError at once from 1024 on
     powered = min(1.0, 2.0 ** (1 - generation))
     return DarkSiliconPoint(cores, powered, cores * powered)
 

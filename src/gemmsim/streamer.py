@@ -22,7 +22,7 @@ from .workload import (
     PRODUCT_MAX,
     Matrix,
     as_count,
-    outer_product_schedule,
+    outer_product_schedule,  # unused: kept as perfbench's patch-site pin (ROADMAP item 1 part A)
     require_operand_range,
     resolve_vector_operands,
 )
@@ -201,8 +201,11 @@ def simulate_cs_gemm(
     machine for max(root-port clocks, slowest PE's MAC clocks); the tree
     fill and the single final gather are paid once:
 
-        cycles = levels*L  +  sum_t max(ceil(E_t/W), owned_max*b_t)
+        cycles = levels*L  +  q*span(w) + span(r)
                  +  levels*L + max(ceil(m*n/W), owned_max)
+
+    with w = min(block_width, k), q, r = divmod(k, w) and a step of width b
+    spanning span(b) = max(ceil((m+n)*b/W), owned_max*b) clocks.
 
     steady_state_utilization divides by the streaming span only, which makes
     it independent of the inner dimension for a fixed (m, n, P, W): there is
@@ -220,7 +223,8 @@ def simulate_cs_gemm(
     block_width = as_count(block_width, "block width", 1)
     if tree.num_pes > m * n:
         raise ValueError(f"{tree.num_pes} PEs cannot each own an output of a {m}x{n} result")
-    steps = outer_product_schedule(a, b, min(block_width, k))
+    w = min(block_width, k)
+    q, r = divmod(k, w)  # q full steps of width w, then one ragged step of width r
     owned_max = -(-m * n // tree.num_pes)  # PE 0 owns the largest range
     width = tree.root_port_width
 
@@ -233,8 +237,7 @@ def simulate_cs_gemm(
         c = (an.astype(np.float64) @ bn.astype(np.float64)).astype(np.int64)
     else:
         c = an @ bn
-    widths = [col.cols for col, _ in steps]
-    stream_cycles = sum(map(span, widths))
+    stream_cycles = q * span(w) + span(r)
 
     fill = tree.levels * tree.level_latency  # one traversal of the hierarchy
     drain = fill + max(-(-m * n // width), owned_max)
@@ -245,12 +248,12 @@ def simulate_cs_gemm(
     if with_trace:
         # Each step spreads its m*n*bw MACs evenly over its span, the
         # remainder one per clock from the start.
-        t = [0] * fill
-        for bw in widths:
+        def step(bw: int) -> list[int]:
             clocks = span(bw)
             base, extra = divmod(m * n * bw, clocks)
-            t += [base + 1] * extra + [base] * (clocks - extra)
-        trace = tuple(t + [0] * drain)
+            return [base + 1] * extra + [base] * (clocks - extra)
+
+        trace = tuple([0] * fill + step(w) * q + (step(r) if r else []) + [0] * drain)
 
     phases = {"fill": fill, "stream": stream_cycles, "drain": drain}
     return build_result(

@@ -7,6 +7,7 @@ sum is an unbounded Python int; numpy only reads its operands and result.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 import sys
@@ -161,9 +162,9 @@ def resolve_vector_operands(
 
 
 # Draws of at least this many values take their words from numpy's MT19937
-# loaded with the generator's state.  Building it and copying the state in
-# and out costs ~0.4 ms a call, which pays off only past ~19,000 values (the
-# crossover measured on a 2-core x86 host); this is the next power of two.
+# loaded with the generator's state.  The crossover, ~19,000 values on a
+# 2-core x86 host, was measured while each draw also built the MT19937
+# (~0.4 ms a call with the state copies); this is the next power of two.
 NUMPY_DRAW_MIN = 2**15
 
 # A round draws at most this many words, so its buffers keep one small size
@@ -209,10 +210,8 @@ def _draw_operands(rng: random.Random, count: int) -> np.ndarray:
             lambda words: words.view("<i2")[1::2],
         )
     else:
-        from numpy.random import MT19937  # ~6 MB of RSS, so only on this path
-
         version, internal, gauss_next = rng.getstate()
-        mt = MT19937(0)  # a fixed seed skips the OS entropy; the state is replaced
+        mt = _mt19937()
         key = np.array(internal[:-1], dtype=np.uint32)
         mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": internal[-1]}}
         # random_raw widens each 32-bit word to a native uint64.
@@ -228,6 +227,15 @@ def _draw_operands(rng: random.Random, count: int) -> np.ndarray:
             tail.append(value + OPERAND_MIN)
     ops[filled:] = tail
     return ops
+
+
+@functools.cache
+def _mt19937():
+    """The one MT19937 that every large draw loads its own state into, so
+    draws from several threads at once would clash; gemmsim draws on one."""
+    from numpy.random import MT19937  # ~6 MB of RSS, so only on first use
+
+    return MT19937(0)  # a fixed seed skips the OS entropy; the state is replaced
 
 
 def _accept_words(

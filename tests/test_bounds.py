@@ -1,11 +1,16 @@
 """Closed-form bound, tree depth, dark silicon, and collective cost models."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gemmsim
 from gemmsim import (
     CollectiveKind,
     CommModel,
@@ -128,6 +133,29 @@ def test_dark_silicon_effective_multiplier_saturates():
     for generation in (2.5, True):
         with pytest.raises(ValueError, match="^generation must be an integer"):
             dark_silicon(generation)
+
+
+def test_dark_silicon_huge_generation_overflows_at_once():
+    # 2**generation as a Python int grew to gigabytes before it overflowed a
+    # float; under a 1 GB address-space limit it ended in MemoryError after
+    # ~16 s.
+    code = (
+        "import resource\n"
+        "from gemmsim import dark_silicon\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "try:\n"
+        "    dark_silicon(10**12)\n"
+        "except OverflowError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no OverflowError')\n"
+    )
+    src = str(Path(gemmsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_ceil_log2():

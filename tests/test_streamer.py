@@ -14,6 +14,7 @@ from gemmsim import (
     build_ce_tree,
     make_gemm,
     make_vectors,
+    outer_product_schedule,
     reference_matmul,
     simulate_cs_gemm,
     simulate_systolic_gemm,
@@ -318,3 +319,54 @@ def test_cs_gemm_block_width_validation():
     for width in (0, 1.0, True):
         with pytest.raises(ValueError, match="block width must be"):
             simulate_cs_gemm(a, b, build_ce_tree(4), width)
+
+
+def step_by_step_stream(a, b, tree, block_width):
+    """The stream phase and its activity trace, one step of the public
+    schedule at a time: each step spreads its MACs evenly over its span."""
+    m, n = a.rows, b.cols
+    owned_max = -(-m * n // tree.num_pes)
+    stream, trace = 0, []
+    for col, _ in outer_product_schedule(a, b, min(block_width, a.cols)):
+        bw = col.cols
+        clocks = max(-(-(m + n) * bw // tree.root_port_width), owned_max * bw)
+        base, extra = divmod(m * n * bw, clocks)
+        stream += clocks
+        trace += [base + 1] * extra + [base] * (clocks - extra)
+    return stream, trace
+
+
+@pytest.mark.parametrize(
+    "k, width",
+    [(12, 1), (12, 3), (12, 12), (13, 3), (13, 5), (1, 1), (7, 20), (1, 4)],
+    ids=["w1", "divides", "one-step", "ragged-1", "ragged-3", "k1", "w-above-k", "k1-w-above-k"],
+)
+def test_cs_gemm_stream_matches_step_by_step_schedule(k, width):
+    # The streamer prices q full steps and one ragged step in closed form.
+    a, b = make_gemm(GemmShape(5, 7, k), k)
+    for tree in (build_ce_tree(1, 2), build_ce_tree(6, 2, 1, 3), build_ce_tree(35, 4, 2, 2)):
+        res = simulate_cs_gemm(a, b, tree, width, with_trace=True)
+        stream, trace = step_by_step_stream(a, b, tree, width)
+        fill, drain = res.phases["fill"], res.phases["drain"]
+        assert res.phases["stream"] == stream
+        assert res.steady_state_utilization == res.mac_ops_issued / (tree.num_pes * stream)
+        assert res.activity_trace == tuple([0] * fill + trace + [0] * drain)
+
+
+def test_cs_gemm_builds_no_matrix_per_step(monkeypatch):
+    # Pricing the steps must not copy A and B into a Matrix pair per step.
+    built = []
+    from_numpy = Matrix.from_numpy
+
+    def counted(arr):
+        built.append(arr.shape)
+        return from_numpy(arr)
+
+    monkeypatch.setattr(Matrix, "from_numpy", staticmethod(counted))
+    counts = []
+    for k in (1, 512):
+        a, b = make_gemm(GemmShape(4, 4, k), 0)
+        built.clear()
+        simulate_cs_gemm(a, b, build_ce_tree(4), 1, with_trace=True)
+        counts.append(len(built))
+    assert counts[0] == counts[1]

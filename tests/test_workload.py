@@ -236,6 +236,17 @@ def test_every_tail_length_matches_randint(seed, prelude):
     assert_draws_match_randint(seed, prelude, [*small, *large])
 
 
+def test_interleaved_large_draws_match_randint():
+    # Large draws share one MT19937: each loads its own generator's state
+    # first, so a draw from B between two from A changes neither.
+    rngs = {"A": random.Random(3), "B": random.Random(-7)}
+    twins = {"A": random.Random(3), "B": random.Random(-7)}
+    for name, count in (("A", NUMPY_DRAW_MIN), ("B", NUMPY_DRAW_MIN + 5), ("A", NUMPY_DRAW_MIN + 1)):
+        assert _draw_operands(rngs[name], count).tolist() == randint_draws(twins[name], count)
+    for name in rngs:
+        assert rngs[name].getstate() == twins[name].getstate()
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_large_draw_peaks_at_output_plus_one_round(seed):
     # Capped rounds keep a draw's memory the same whatever the seed rejects:

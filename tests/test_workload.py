@@ -241,7 +241,8 @@ def test_interleaved_large_draws_match_randint():
     # first, so a draw from B between two from A changes neither.
     rngs = {"A": random.Random(3), "B": random.Random(-7)}
     twins = {"A": random.Random(3), "B": random.Random(-7)}
-    for name, count in (("A", NUMPY_DRAW_MIN), ("B", NUMPY_DRAW_MIN + 5), ("A", NUMPY_DRAW_MIN + 1)):
+    draws = (("A", NUMPY_DRAW_MIN), ("B", NUMPY_DRAW_MIN + 5), ("A", NUMPY_DRAW_MIN + 1))
+    for name, count in draws:
         assert _draw_operands(rngs[name], count).tolist() == randint_draws(twins[name], count)
     for name in rngs:
         assert rngs[name].getstate() == twins[name].getstate()

@@ -9,14 +9,17 @@ leave the bottom row.  Weight load and streaming never overlap, and ragged
 edge tiles leave zero-weight PEs that still burn clocks, which is exactly
 what depresses utilization at low inner dimension.
 
-The passes are independent, so one clock loop advances all of them.  Its
-state is array-row-major, (R, n-tiles, k-tiles, C): the southward shift is
-one contiguous add, and the bottom row is one contiguous block summed over
-its k-tiles into that clock's row of ``bottom``.  Output row i leaves column
-c at stream cycle i + R - 1 + c, so the result is read as one strided view
-of ``bottom`` down those diagonals.  Every (i, j, l) of the GEMM meets once,
-so the useful MACs are m*n*k; only the activity trace counts busy PEs clock
-by clock.
+The passes are independent, so one loop advances all of them, in one of two
+orders.  The clock loop steps every PE of every pass one clock at a time;
+the row loop steps one array row at a time over every clock, which is legal
+because a partial sum depends only on the PE above one clock earlier and an
+A register on the PE to the west one clock earlier.  Small calls, whose
+per-clock numpy calls cost more than their arithmetic, take the row loop;
+both fill the same ``bottom``, the bottom row's k-tile sums per clock.
+Output row i leaves column c at stream cycle i + R - 1 + c, so the result
+is read as one strided view of ``bottom`` down those diagonals.  Every
+(i, j, l) of the GEMM meets once, so the useful MACs are m*n*k; only the
+activity trace counts busy PEs clock by clock.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ from .workload import PRODUCT_MAX, GemmShape, Matrix, as_count, require_operand_
 # every k-tile sum of the bottom rows adds at most k of them, so int32 state
 # holds each one exactly while k is below this.
 INT32_EXACT_K = 2**31 // PRODUCT_MAX
+# The row loop runs when one n-tile's partial sums over every clock, k-tiles *
+# C * (span + 1) elements, fit in this many, and holds two buffers of this
+# size at most; larger calls run the clock loop, which was faster at 256^3.
+ROW_LOOP_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -62,13 +69,90 @@ def systolic_cycle_formula(shape: GemmShape, cfg: SystolicConfig) -> int:
     return passes * (r + (shape.m + r + c - 2))
 
 
+def _clock_loop(inject: np.ndarray, weights: np.ndarray, bottom: np.ndarray) -> None:
+    """Advance every pass one clock at a time, filling ``bottom``.
+
+    The state is array-row-major, (R, n-tiles, k-tiles, C): the southward
+    shift is one contiguous add, and the bottom row is one contiguous block.
+    """
+    r_ext, _, kt, c_ext = weights.shape
+    # Double-buffered A registers and partial sums: clock s writes buffer
+    # s & 1 from buffer 1 - (s & 1).  The views each clock touches are built
+    # once per parity.
+    a_buf = [np.zeros((r_ext, 1, kt, c_ext), dtype=weights.dtype) for _ in range(2)]
+    p_buf = [np.zeros(weights.shape, dtype=weights.dtype) for _ in range(2)]
+    steps = [
+        (
+            a_buf[j][:, 0, :, 0],
+            a_buf[j][..., 1:],
+            a_buf[1 - j][..., :-1],
+            a_buf[j],
+            p_buf[j],
+            p_buf[j][1:],
+            p_buf[1 - j][:-1],
+            p_buf[j][-1],
+        )
+        for j in range(2)
+    ]
+    clocks = np.moveaxis(inject[..., c_ext:], 2, 0)
+    for s, (a_in, p_out) in enumerate(zip(clocks, bottom)):
+        a_west, a_east, a_from, a_next, p_next, p_south, p_from, p_bottom = steps[s & 1]
+        # A moves one PE east; partial sums move one PE south and accumulate.
+        a_west[...] = a_in
+        a_east[...] = a_from
+        np.multiply(a_next, weights, out=p_next)
+        np.add(p_south, p_from, out=p_south)
+        # The bottom row leaves the array; the k-tiles of an output add up.
+        np.add.reduce(p_bottom, axis=1, out=p_out)
+
+
+def _row_loop(inject: np.ndarray, weights: np.ndarray, bottom: np.ndarray, chunk: int) -> None:
+    """Advance every pass one array row at a time, over every clock, filling ``bottom``.
+
+    Row r's partial sums at clock s need only row r - 1's at clock s - 1 and
+    row r's own A at clock s, so the row and clock loops interchange.  Each
+    row's state is (n-tiles, k-tiles, C, span + 1), clocks -1 .. span - 1.
+    PE (r, c) holds at clock s what row r received at clock s - c, one
+    strided view of the schedule, so A is never shifted.  The partial sums
+    of row r - 1 one clock earlier arrive in one flat add shifted by one
+    element; the element crossing into the next series is row r - 1's last
+    clock, span - 1, which is zero: only row R - 1 holds a partial sum then.
+    The n-tiles go ``chunk`` at a time.
+    """
+    r_ext, nt, kt, c_ext = weights.shape
+    span = bottom.shape[0]
+    # a_rows[r, t, c, 1 + s] is inject[r, t, C + s - c].
+    s0, s1, s2 = inject.strides
+    a_rows = as_strided(
+        inject[..., c_ext - 1 :], (r_ext, kt, c_ext, span + 1), (s0, s1, -s2, s2), writeable=False
+    )
+    p_buf = [np.empty((chunk, kt, c_ext, span + 1), dtype=weights.dtype) for _ in range(2)]
+    for u0 in range(0, nt, chunk):
+        # Row r writes buffer r & 1 from buffer 1 - (r & 1); the last chunk
+        # may hold fewer n-tiles.
+        p_rows = [p[: nt - u0] for p in p_buf]
+        flat = [p.reshape(-1) for p in p_rows]
+        steps = [(p_rows[j], flat[j][1:], flat[1 - j][:-1]) for j in range(2)]
+        for r, (a_row, w_row) in enumerate(zip(a_rows, weights[:, u0 : u0 + chunk, ..., None])):
+            p_next, p_south, p_from = steps[r & 1]
+            np.multiply(a_row, w_row, out=p_next)
+            if r:
+                # Row r - 1's partial sums one clock earlier move one PE south.
+                np.add(p_south, p_from, out=p_south)
+        # The bottom row leaves the array; the k-tiles of an output add up.
+        np.add.reduce(p_next[..., 1:], axis=1, out=bottom[:, u0 : u0 + chunk].transpose(1, 2, 0))
+
+
 def simulate_systolic_gemm(
     a: Matrix, b: Matrix, cfg: SystolicConfig, *, with_trace: bool = False
 ) -> SimResult:
-    """Run GEMM on the array, clock by clock, and return exact results.
+    """Run GEMM on the array and return exact, cycle-counted results.
 
     Counts every cycle of every pass (load, fill, steady streaming, drain);
-    mac_ops_issued counts only useful MACs, m*n*k.  The trace is pass-major
+    mac_ops_issued counts only useful MACs, m*n*k.  The passes advance in the
+    row loop when one n-tile's partial sums over every clock, ceil(k/R) * C *
+    (m + R + C - 1) elements, fit in ROW_LOOP_ELEMENTS, and in the clock loop
+    otherwise; every PE value, and so the result, is the same either way.  The trace is pass-major
     (k-tile major): R load zeros, then the pass's streaming clocks.  Like a
     TPU's 8-bit multipliers feeding 32-bit accumulators, the array state is
     int32 while k < INT32_EXACT_K = 2^17, where no partial sum can leave
@@ -84,48 +168,26 @@ def simulate_systolic_gemm(
 
     dtype = np.int32 if k < INT32_EXACT_K else np.int64
     # Injection schedule: at stream cycle s, array row r of k-tile t receives
-    # A[s - r, t*R + r] (skewed wavefront), zero outside range.
+    # A[s - r, t*R + r] (skewed wavefront), held at inject[r, t, C + s]; the C
+    # leading zeros are what PEs east of column 0 hold before the stream.
     a_np = a.to_numpy()
-    inject = np.zeros((stream_span, r_ext, kt), dtype=dtype)
+    inject = np.zeros((r_ext, kt, c_ext + stream_span), dtype=dtype)
     for r in range(min(r_ext, k)):
-        cols = a_np[:, r::r_ext]
-        inject[r : r + m, r, : cols.shape[1]] = cols
+        cols = a_np[:, r::r_ext].T
+        inject[r, : cols.shape[0], c_ext + r : c_ext + r + m] = cols
     # weights[r, u, t, c] is B[t*R + r, u*C + c], zero past the edges.
     weights = np.zeros((kt * r_ext, nt * c_ext), dtype=dtype)
     weights[:k, :n] = b.to_numpy()
     weights = weights.reshape(kt, r_ext, nt, c_ext).transpose(1, 2, 0, 3).copy()
 
-    # Double-buffered A registers and partial sums: clock s writes buffer
-    # s & 1 from buffer 1 - (s & 1).  The views each clock touches are built
-    # once per parity.
-    a_buf = [np.zeros((r_ext, 1, kt, c_ext), dtype=dtype) for _ in range(2)]
-    p_buf = [np.zeros(weights.shape, dtype=dtype) for _ in range(2)]
-    steps = [
-        (
-            a_buf[j][:, 0, :, 0],
-            a_buf[j][..., 1:],
-            a_buf[1 - j][..., :-1],
-            a_buf[j],
-            p_buf[j],
-            p_buf[j][1:],
-            p_buf[1 - j][:-1],
-            p_buf[j][-1],
-        )
-        for j in range(2)
-    ]
     bottom = np.empty((stream_span, nt, c_ext), dtype=dtype)
-    for s, (a_in, p_out) in enumerate(zip(inject, bottom)):
-        a_west, a_east, a_from, a_next, p_next, p_south, p_from, p_bottom = steps[s & 1]
-        # A moves one PE east; partial sums move one PE south and accumulate.
-        a_west[...] = a_in
-        a_east[...] = a_from
-        np.multiply(a_next, weights, out=p_next)
-        np.add(p_south, p_from, out=p_south)
-        # The bottom row leaves the array; the k-tiles of an output add up.
-        np.add.reduce(p_bottom, axis=1, out=p_out)
+    chunk = min(nt, ROW_LOOP_ELEMENTS // (kt * c_ext * (stream_span + 1)))
+    if chunk:
+        _row_loop(inject, weights, bottom, chunk)
+    else:
+        _clock_loop(inject, weights, bottom)
     # Free the pass state before the result is copied.
-    del inject, weights, a_buf, p_buf, steps, a_in
-    del a_west, a_east, a_from, a_next, p_next, p_south, p_from, p_bottom
+    del inject, weights
     # Column c of n-tile u finishes logical row i at stream cycle i + R - 1 + c,
     # at most m + R + C - 3, bottom's last row.
     s0, s1, s2 = bottom.strides

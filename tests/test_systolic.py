@@ -172,22 +172,46 @@ def test_deterministic_runs():
     )
 
 
-@pytest.mark.parametrize("rows, cols", [(16, 16), (64, 64)])
-def test_call_peaks_at_its_state_and_result(rows, cols):
-    # The int32 state (schedule, weights, two A-register and two partial-sum
-    # buffers, bottom rows) and the int64 result, plus 64 KiB for ufunc
-    # buffers: no per-clock history and no per-call geometry beside them.
-    m = n = k = 128
-    kt, nt, span = -(-k // rows), -(-n // cols), m + rows + cols - 2
-    state = span * rows * kt + 3 * rows * nt * kt * cols + 2 * rows * kt * cols + span * nt * cols
-    bound = 4 * state + 8 * m * n + 2**16
-    a, b = make_gemm(GemmShape(m, n, k), 1)
-    cfg = SystolicConfig(rows, cols)
-    simulate_systolic_gemm(a, b, cfg)  # first-call imports and caches
+def call_peak(shape, cfg):
+    """tracemalloc's peak over one call, after a first call for imports and caches."""
+    a, b = make_gemm(shape, 1)
+    simulate_systolic_gemm(a, b, cfg)
     tracemalloc.start()
     try:
         simulate_systolic_gemm(a, b, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound
+
+
+def clock_loop_bound(m, n, k, rows, cols):
+    # The int32 state (schedule, weights, two A-register and two partial-sum
+    # buffers, bottom rows) and the int64 result, plus 64 KiB for ufunc
+    # buffers: no per-clock history and no per-call geometry beside them.
+    kt, nt, span = -(-k // rows), -(-n // cols), m + rows + cols - 2
+    state = span * rows * kt + 3 * rows * nt * kt * cols + 2 * rows * kt * cols + span * nt * cols
+    return 4 * state + 8 * m * n + 2**16
+
+
+@pytest.mark.parametrize("rows, cols", [(16, 16), (64, 64)])
+def test_call_peaks_at_its_state_and_result(rows, cols, monkeypatch):
+    monkeypatch.setattr(systolic, "ROW_LOOP_ELEMENTS", 0)  # the clock loop
+    peak = call_peak(GemmShape(128, 128, 128), SystolicConfig(rows, cols))
+    assert peak < clock_loop_bound(128, 128, 128, rows, cols)
+
+
+@pytest.mark.parametrize("rows, cols", [(16, 16), (64, 64)])
+def test_row_loop_peaks_at_its_state_and_result(rows, cols):
+    # The int32 state (the schedule with its C leading zeros, weights, two
+    # chunk buffers of whole n-tile series, bottom rows) and the int64
+    # result, plus 64 KiB; and no more than the clock loop's bound.
+    m = n = k = 128
+    kt, nt, span = -(-k // rows), -(-n // cols), m + rows + cols - 2
+    series = kt * cols * (span + 1)
+    assert series <= systolic.ROW_LOOP_ELEMENTS  # the default runs the row loop
+    chunk = min(nt, systolic.ROW_LOOP_ELEMENTS // series)
+    schedule, weights, bottom = rows * kt * (span + cols), rows * nt * kt * cols, span * nt * cols
+    state = schedule + weights + 2 * chunk * series + bottom
+    peak = call_peak(GemmShape(m, n, k), SystolicConfig(rows, cols))
+    assert peak < 4 * state + 8 * m * n + 2**16
+    assert peak < clock_loop_bound(m, n, k, rows, cols)

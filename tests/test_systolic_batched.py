@@ -1,9 +1,10 @@
 """Differential test: the batched systolic engine against the per-pass loop.
 
-``simulate_systolic_gemm`` advances every (k-tile, n-tile) pass in one clock
-loop.  The reference below is the per-pass engine it replaced: one clock loop
-per pass over a single R x C register file.  The two must return equal
-``SimResult`` objects, activity trace included.
+``simulate_systolic_gemm`` advances every (k-tile, n-tile) pass at once, in
+either a clock loop or a row loop.  The reference below is the per-pass
+engine they replaced: one clock loop per pass over a single R x C register
+file.  Both loop orders must return ``SimResult`` objects equal to it,
+activity trace included.
 """
 
 import math
@@ -125,18 +126,29 @@ def instances(draw):
 @example((5, 12, 11, 4, 3, 12))  # kt = 3, nt = 4, R > C
 @example((3, 10, 12, 2, 4, 13))  # kt = 6, nt = 3, R < C
 @example((1, 2, 9, 2, 6, 14))  # m = 1, C > n, kt = 5
+@example((3, 12, 5, 2, 2, 15))  # nt = 6: row-loop chunks of 2, 2 and 2 n-tiles
+@example((4, 9, 7, 3, 2, 16))  # nt = 5: chunks of 2, 2 and a ragged 1
+@example((1, 5, 3, 1, 1, 17))  # stream span 1 in chunks of 2, 2 and 1
+@example((1, 5, 3, 2, 1, 18))  # stream span 2, kt = 2, in chunks of 2, 2 and 1
+@example((1, 7, 5, 2, 2, 19))  # stream span 3, kt = 3, in chunks of 2 and 2
 def test_batched_engine_matches_per_pass_loop(inst):
     m, n, k, rows, cols, seed = inst
     a, b = make_gemm(GemmShape(m, n, k), seed)
     cfg = SystolicConfig(rows, cols)
     want = {t: per_pass_systolic_gemm(a, b, cfg, with_trace=t) for t in (False, True)}
-    # INT32_EXACT_K = 1 sends every k through the int64 state.
-    for int32_exact_k in (systolic.INT32_EXACT_K, 1):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(systolic, "INT32_EXACT_K", int32_exact_k)
-            for with_trace in (False, True):
-                got = simulate_systolic_gemm(a, b, cfg, with_trace=with_trace)
-                assert got == want[with_trace]
+    # ROW_LOOP_ELEMENTS = 0 sends every call through the clock loop; twice one
+    # n-tile's series runs the row loop in chunks of two n-tiles, and the
+    # default in one chunk.  INT32_EXACT_K = 1 sends every k through the int64
+    # state.
+    series = -(-k // rows) * cols * (m + rows + cols - 1)
+    for row_loop_elements in (0, 2 * series, systolic.ROW_LOOP_ELEMENTS):
+        for int32_exact_k in (systolic.INT32_EXACT_K, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(systolic, "ROW_LOOP_ELEMENTS", row_loop_elements)
+                patch.setattr(systolic, "INT32_EXACT_K", int32_exact_k)
+                for with_trace in (False, True):
+                    got = simulate_systolic_gemm(a, b, cfg, with_trace=with_trace)
+                    assert got == want[with_trace]
     assert got.result == reference_matmul(a, b)
 
 

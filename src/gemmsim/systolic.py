@@ -109,15 +109,12 @@ def _clock_loop(inject: np.ndarray, weights: np.ndarray, bottom: np.ndarray) -> 
 def _row_loop(inject: np.ndarray, weights: np.ndarray, bottom: np.ndarray, chunk: int) -> None:
     """Advance every pass one array row at a time, over every clock, filling ``bottom``.
 
-    Row r's partial sums at clock s need only row r - 1's at clock s - 1 and
-    row r's own A at clock s, so the row and clock loops interchange.  Each
-    row's state is (n-tiles, k-tiles, C, span + 1), clocks -1 .. span - 1.
-    PE (r, c) holds at clock s what row r received at clock s - c, one
-    strided view of the schedule, so A is never shifted.  The partial sums
-    of row r - 1 one clock earlier arrive in one flat add shifted by one
-    element; the element crossing into the next series is row r - 1's last
-    clock, span - 1, which is zero: only row R - 1 holds a partial sum then.
-    The n-tiles go ``chunk`` at a time.
+    Row r's state is (n-tiles, k-tiles, C, span + 1), clocks -1 .. span - 1,
+    for ``chunk`` n-tiles at a time.  PE (r, c) holds at clock s what row r
+    received at clock s - c, one strided view of the schedule.  Row r - 1's
+    partial sums one clock earlier arrive in one flat add shifted by one
+    element; the element crossing into the next series is row r - 1's at
+    clock span - 1, zero because only row R - 1 holds a partial sum then.
     """
     r_ext, nt, kt, c_ext = weights.shape
     span = bottom.shape[0]
@@ -152,11 +149,12 @@ def simulate_systolic_gemm(
     mac_ops_issued counts only useful MACs, m*n*k.  The passes advance in the
     row loop when one n-tile's partial sums over every clock, ceil(k/R) * C *
     (m + R + C - 1) elements, fit in ROW_LOOP_ELEMENTS, and in the clock loop
-    otherwise; every PE value, and so the result, is the same either way.  The trace is pass-major
-    (k-tile major): R load zeros, then the pass's streaming clocks.  Like a
-    TPU's 8-bit multipliers feeding 32-bit accumulators, the array state is
-    int32 while k < INT32_EXACT_K = 2^17, where no partial sum can leave
-    int32, and int64 from there on; the result is int64 either way.
+    otherwise; every PE value, and so the result, is the same either way.
+    The trace is pass-major (k-tile major): R load zeros, then the pass's
+    streaming clocks.  Like a TPU's 8-bit multipliers feeding 32-bit
+    accumulators, the array state is int32 while k < INT32_EXACT_K = 2^17,
+    where no partial sum can leave int32, and int64 from there on; the
+    result is int64 either way.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")

@@ -18,11 +18,11 @@ LAYER_METRICS = ("systolic.calls", "systolic.self_s", "systolic.errors", "worklo
 
 
 def write_report(
-    directory, workload, seed, commit, value, traced=False, digest="d0", failures=()
+    directory, workload, seed, commit, value, traced=False, digest="d0", failures=(), units=None
 ):
     directory.mkdir(exist_ok=True)
     keys = LAYER_METRICS if traced else bench_json.METRICS
-    metrics = {key: {"value": value, "unit": "s"} for key in keys}
+    metrics = {key: {"value": value, "unit": (units or {}).get(key, "s")} for key in keys}
     report = {
         "workload": workload,
         "seconds": 30,
@@ -122,6 +122,51 @@ def test_traced_reports_fill_the_traced_section(tmp_path):
             "systolic.self_s": value,
             "workload.oracle_ns_per_mac": value,
         }
+
+
+@pytest.mark.parametrize(
+    "changes, holds",
+    [
+        # Parent 1..10: median 5.5, quartiles 3.25 and 7.75, IQR 4.5.
+        ([p - 5 for p in range(1, 10)] + [11], True),  # wins 9 of 10, gap 5.0
+        ([p - 1 for p in range(1, 11)], False),  # wins 10 of 10, gap 1.0 <= IQR
+        ([p - 8 for p in range(1, 9)] + [10, 11], False),  # gap 8.0 > IQR, wins 8 of 10
+    ],
+    ids=["holds", "gap-within-iqr", "eight-wins"],
+)
+def test_claim_rule_needs_nine_tenths_of_wins_and_a_gap_beyond_the_parent_iqr(
+    tmp_path, changes, holds
+):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, after in enumerate(changes, 1):
+        write_report(parent, "routine", seed, "aaa", float(seed))
+        write_report(change, "routine", seed, "bbb", float(after))
+    out = tmp_path / "BENCH_7.json"
+    assert bench_json.main(args(7, parent, change, out)) == 0
+    routine = json.loads(out.read_text())["workloads"]["routine"]
+    for key in bench_json.METRICS:
+        claim = routine["claim"][key]
+        assert claim["parent_iqr"] == pytest.approx(4.5)
+        want_gap = routine["parent"][key]["median"] - routine["change"][key]["median"]
+        assert claim["median_gap"] == pytest.approx(want_gap)
+        assert claim["holds"] is holds
+
+
+def test_traced_whole_counts_are_ints(tmp_path):
+    # perfbench's median over an even number of passes reads 5.0 calls.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_report(parent, "routine", 1, "aaa", 1.0)
+    write_report(change, "routine", 1, "bbb", 1.0)
+    units = {"systolic.calls": "count"}
+    write_report(parent, "routine", 2, "aaa", 5.5, traced=True, units=units)
+    write_report(change, "routine", 2, "bbb", 5.0, traced=True, units=units)
+    out = tmp_path / "BENCH_8.json"
+    assert bench_json.main(args(8, parent, change, out)) == 0
+    traced = json.loads(out.read_text())["traced"]["routine"]
+    for side, calls in (("parent", 5.5), ("change", 5)):
+        assert traced[side]["systolic.calls"] == calls
+        assert type(traced[side]["systolic.calls"]) is type(calls)
+    assert type(traced["change"]["systolic.self_s"]) is float  # seconds stay floats
 
 
 @pytest.mark.parametrize("defect", ["traced", "mixed-commits", "failures"])

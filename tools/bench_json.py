@@ -11,18 +11,24 @@ and seed, and unpaired runs are left out.  For every workload the
 output records, per side, the median and quartiles of each end-to-end
 metric over the paired runs, with the seeds, their count, the side's commit
 and the environment perfbench reported.  Per metric it also counts the
-pairs each side won, lower being better; a tie counts for neither.  It also
-counts the pairs whose two runs simulated the same statistics (equal
-perfbench ``digest``), as ``digests_equal``.
+pairs each side won, lower being better; a tie counts for neither.  Under
+``claim`` it records per metric the parent's IQR (q3 - q1), the median gap
+(parent median - change median, positive when the change is lower) and
+whether a gain may be claimed: the change won at least nine tenths of the
+pairs and the gap exceeds the parent's IQR.  It also counts the pairs whose
+two runs simulated the same statistics (equal perfbench ``digest``), as
+``digests_equal``.
 
 The same directories may hold one ``perfbench/run.py --trace 1`` report per
 workload and side.  Where both sides ran the same seed traced, the
 ``traced`` section records for that workload the seed, the run length and,
 per side, the commit, digest, failed operations, median ``pass_s`` and every
 per-layer metric but the ``*.errors`` counts (a run with errors has
-failures).  A report with failures, a second traced report of one workload
-on one side, or reports of more than one commit on one side, is an error:
-the summary would mix unlike runs or time wrong results.
+failures).  A metric in unit ``count`` whose value is a whole number is
+written as an int: perfbench's median over an even number of passes reads
+5.0 for five calls.  A report with failures, a second traced report of one
+workload on one side, or reports of more than one commit on one side, is an
+error: the summary would mix unlike runs or time wrong results.
 """
 
 from __future__ import annotations
@@ -71,7 +77,12 @@ def traced_side(report: dict) -> dict:
         "digest": report["digest"],
         "failed": report["result"]["failed"],
         "pass_s_median": report["pass_s"]["median"],
-    } | {key: m["value"] for key, m in metrics.items() if not key.endswith(".errors")}
+    } | {key: layer_value(m) for key, m in metrics.items() if not key.endswith(".errors")}
+
+
+def layer_value(metric: dict) -> float:
+    value = metric["value"]
+    return int(value) if metric["unit"] == "count" and float(value).is_integer() else value
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -99,12 +110,19 @@ def summarise(parent_dir: Path, change_dir: Path, pr: int) -> dict:
             metrics = [runs[name][seed]["result"]["metrics"] for seed in seeds]
             values[side] = {key: [m[key]["value"] for m in metrics] for key in METRICS}
             entry[side] = {"commit": commit} | {key: spread(values[side][key]) for key in METRICS}
-        entry["wins"] = {}
+        entry["wins"], entry["claim"] = {}, {}
         for key in METRICS:
             pairs = list(zip(values["parent"][key], values["change"][key]))
-            entry["wins"][key] = {
+            wins = entry["wins"][key] = {
                 "change": sum(c < p for p, c in pairs),
                 "parent": sum(p < c for p, c in pairs),
+            }
+            parent, change = entry["parent"][key], entry["change"][key]
+            iqr, gap = parent["q3"] - parent["q1"], parent["median"] - change["median"]
+            entry["claim"][key] = {
+                "parent_iqr": iqr,
+                "median_gap": gap,
+                "holds": 10 * wins["change"] >= 9 * len(pairs) and gap > iqr,
             }
         env = dict(sides["change"][1][name][seeds[0]]["environment"])
         del env["seed"], env["commit"]

@@ -142,7 +142,7 @@ def run_corpus_checks(seed: int = 0, corpus_size: int = 200) -> list[PropertyRes
 
         # Mesh reductions on the first row of A against the first column of
         # B, whose dot product is the oracle's top-left element.
-        vecs = (a.row(0), b.col(0))
+        vecs = (a.to_numpy()[0], b.to_numpy()[:, 0])
         expected = oracle.at(0, 0)
         chain_res = meshflow.simulate_chain_reduction(shape.k, operands=vecs)
         p_exact.check(chain_res.scalar == expected, f"chain result mismatch ({tag})")

@@ -97,7 +97,10 @@ def _cs_transfer_counts(tree: CETree, m: int, n: int, k: int) -> dict[str, int]:
     decrease along a row or down a column, so the subtrees of g leaves needing
     row or column slices number m + n plus the changes of owner // g along
     the rows and down the columns.  Those changes sit at the group starts s_q
-    for q = g, 2g, ... < num_pes, so each level costs O(num_pes / g).
+    for q = g, 2g, ... < num_pes.  The starts of all num_pes PEs, and which
+    of them fall inside a row, are built once per call; each level reads its
+    group starts and their predecessors as strided slices of that one array,
+    so it costs O(num_pes / g).
     """
     levels, fanout = tree.levels, tree.fanout
     if levels == 0:
@@ -109,18 +112,17 @@ def _cs_transfer_counts(tree: CETree, m: int, n: int, k: int) -> dict[str, int]:
 
     outputs = m * n
     base, extra = divmod(outputs, tree.num_pes)
+    q = np.arange(tree.num_pes, dtype=np.int64)
+    starts = q * base + np.minimum(q, extra)
+    along = starts % n != 0  # a start inside a row splits that row once
 
     def subtrees(group: int) -> int:
         # Owner groups change at the starts of PEs group, 2*group, ...
-        q = np.arange(group, tree.num_pes, group, dtype=np.int64)
-        starts = q * base + np.minimum(q, extra)
-        # A start inside a row splits that row once.
-        along_rows = np.count_nonzero(starts % n)
+        at, prev = starts[group::group], starts[:-group:group]
         # Outputs u and u + n differ iff a start lies in (u, u + n]; count each
         # such u < outputs - n once, at the first start that covers it.
-        prev = np.concatenate(([0], starts[:-1]))
-        down_cols = np.maximum(np.minimum(starts, outputs - n) - np.maximum(prev, starts - n), 0)
-        return m + n + int(along_rows) + int(down_cols.sum())
+        down_cols = np.maximum(np.minimum(at, outputs - n) - np.maximum(prev, at - n), 0)
+        return m + n + int(np.count_nonzero(along[group::group])) + int(down_cols.sum())
 
     ce_to_pe = subtrees(1)
     ce_to_ce_down = sum(subtrees(fanout**e) for e in range(levels - 1))

@@ -116,14 +116,21 @@ class Matrix:
             raise ValueError("expected a 2-D array")
         return cls(arr.shape[0], arr.shape[1], arr.ravel())
 
+    def _index(self, name: str, index: int, size: int) -> int:
+        if not 0 <= index < size:
+            raise IndexError(f"{name} {index} outside a {self.rows}x{self.cols} matrix")
+        return index
+
     def at(self, i: int, j: int) -> int:
+        i, j = self._index("row", i, self.rows), self._index("column", j, self.cols)
         return int(self.data[i * self.cols + j])
 
     def row(self, i: int) -> tuple[int, ...]:
+        i = self._index("row", i, self.rows)
         return tuple(self.data[i * self.cols : (i + 1) * self.cols].tolist())
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.data[j :: self.cols].tolist())
+        return tuple(self.data[self._index("column", j, self.cols) :: self.cols].tolist())
 
     def to_rows(self) -> list[list[int]]:
         return self.to_numpy().tolist()
@@ -298,11 +305,17 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
 
     The oracle every simulator is compared against, so every product and sum
     is an unbounded Python int.  numpy only reads the operands' extremes,
-    narrows B to the field type and reinterprets C's bytes.  Each row of B is
-    packed into one big int of w-bit fields, each starting at 2^(w-1) so it
-    never borrows, and row i of C is one big-int multiply-add per element of
-    A's row i.  w is 32 while k * max|A| * max|B| < 2^31, 64 while it is
-    below 2^63; larger operands raise ValueError.
+    narrows the packed factor to the field type and reinterprets C's bytes.
+    Each row of B is packed into one big int of w-bit fields, each starting
+    at 2^(w-1) so it never borrows, and row i of C is one big-int
+    multiply-add per element of A's row i.  When C has fewer columns than
+    rows, the packing goes along the shorter side: C^T = B^T . A^T, with the
+    rows of A^T packed and one multiply-add per element of B^T, so the
+    multiply-adds number min(m, n) * k.  w is 32 while
+    k * max|A| * max|B| < 2^31, 64 while it is below 2^63; larger operands
+    raise ValueError.  That bound is at least max|B|, and at least max|A|
+    when B is nonzero, so after a flip A's elements fit their fields too;
+    when B is zero, every product is zero whatever A's fields hold.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
@@ -314,24 +327,26 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError(f"k * max|A| * max|B| = {bound} does not fit in 64 bits")
     dtype, width = (np.int32, 32) if bound < 1 << 31 else (np.int64, 64)
     order = sys.byteorder  # numpy's field types use the native byte order
-    size = b.cols * width // 8
-    # 2^(w-1) in each of the b.cols fields: the fields' top bits alone.
-    offset = ((1 << width * b.cols) - 1) // ((1 << width) - 1) << (width - 1)
-    braw = b.data.astype(dtype).tobytes()
-    # Read unsigned, field j holds B[k][j] mod 2^w; flipping its top bit makes
-    # it B[k][j] + 2^(w-1), and subtracting the offset leaves the signed
-    # sum_j B[k][j] * 2^(w*j).
+    flip = b.cols < a.rows  # pack the rows of A^T and compute C^T
+    left, right = (b.to_numpy().T, a.to_numpy().T) if flip else (a.to_numpy(), b.to_numpy())
+    size = right.shape[1] * width // 8
+    # 2^(w-1) in each of right's fields: the fields' top bits alone.
+    offset = ((1 << 8 * size) - 1) // ((1 << width) - 1) << (width - 1)
+    raw = right.astype(dtype).tobytes()
+    # Read unsigned, field j holds right[t][j] mod 2^w; flipping its top bit
+    # makes it right[t][j] + 2^(w-1), and subtracting the offset leaves the
+    # signed sum_j right[t][j] * 2^(w*j).
     packed = [
-        (int.from_bytes(braw[lo : lo + size], order) ^ offset) - offset
-        for lo in range(0, len(braw), size)
+        (int.from_bytes(raw[lo : lo + size], order) ^ offset) - offset
+        for lo in range(0, len(raw), size)
     ]
-    aflat, out = a.data.tolist(), bytearray()
-    for lo in range(0, len(aflat), a.cols):
-        # Each field now holds C[i][j] + 2^(w-1) in [0, 2^w); flipping its top
-        # bit leaves C[i][j] in two's complement.
-        acc = sum(map(operator.mul, aflat[lo : lo + a.cols], packed), offset) ^ offset
-        out += acc.to_bytes(size, order)
-    return Matrix(a.rows, b.cols, np.frombuffer(out, dtype))
+    out = bytearray()
+    for row in left.tolist():
+        # Each field now holds the output + 2^(w-1) in [0, 2^w); flipping its
+        # top bit leaves the output in two's complement.
+        out += (sum(map(operator.mul, row, packed), offset) ^ offset).to_bytes(size, order)
+    c = np.frombuffer(out, dtype).reshape(len(left), -1)
+    return Matrix.from_numpy(c.T if flip else c)
 
 
 def outer_product_schedule(a: Matrix, b: Matrix, block_width: int) -> list[tuple[Matrix, Matrix]]:

@@ -185,3 +185,53 @@ def test_unlike_runs_are_refused(tmp_path, capsys, defect):
     assert bench_json.main(args(1, parent, change, out)) != 0
     assert "bench_json:" in capsys.readouterr().err
     assert not out.exists()
+
+
+TIGHT = [10.0, 10.1, 10.2, 10.3, 10.4]  # median 10.2, IQR 0.2: 2% of the median
+WIDE = [5.0, 10.0, 15.0, 20.0, 25.0]  # median 15, IQR 10: 67% of the median
+
+
+@pytest.mark.parametrize(
+    "parents, changes, change_rel, verdict",
+    [
+        (TIGHT, [v * 1.05 for v in TIGHT], 0.05, "within"),
+        (TIGHT, [v * 1.2 for v in TIGHT], 0.2, "worse"),
+        (WIDE, [v * 1.05 for v in WIDE], 0.05, "unresolved"),
+        (WIDE, [v * 1.2 for v in WIDE], 0.2, "unresolved"),
+        (WIDE, [4.0, 4.1, 4.2, 4.3, 4.4], 4.2 / 15 - 1, "within"),  # every run lower
+    ],
+    ids=["within", "worse", "unresolved", "unresolved-not-worse", "every-run-lower"],
+)
+def test_regression_verdict_against_the_benchmark_bound(
+    tmp_path, monkeypatch, parents, changes, change_rel, verdict
+):
+    benchmark = tmp_path / "BENCHMARK.json"
+    end_to_end = [{"name": key, "bound": 0.1} for key in bench_json.METRICS]
+    benchmark.write_text(json.dumps({"end_to_end": end_to_end}))
+    monkeypatch.setattr(bench_json, "BENCHMARK", benchmark)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (before, after) in enumerate(zip(parents, changes), 1):
+        write_report(parent, "gemm-large", seed, "aaa", before)
+        write_report(change, "gemm-large", seed, "bbb", after)
+    out = tmp_path / "BENCH_9.json"
+    assert bench_json.main(args(9, parent, change, out)) == 0
+    regression = json.loads(out.read_text())["workloads"]["gemm-large"]["regression"]
+    assert list(regression) == list(bench_json.METRICS)
+    for entry in regression.values():
+        assert entry["bound"] == 0.1
+        assert entry["median_change"] == pytest.approx(change_rel)
+        assert entry["verdict"] == verdict
+
+
+def test_regression_bounds_come_from_the_repository_benchmark(tmp_path):
+    declared = json.loads(bench_json.BENCHMARK.read_text())["end_to_end"]
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_report(parent, "routine", 1, "aaa", 1.0)
+    write_report(change, "routine", 1, "bbb", 1.0)
+    out = tmp_path / "BENCH_10.json"
+    assert bench_json.main(args(10, parent, change, out)) == 0
+    regression = json.loads(out.read_text())["workloads"]["routine"]["regression"]
+    assert {m["name"]: m["bound"] for m in declared} == {
+        key: entry["bound"] for key, entry in regression.items()
+    }
+    assert all(entry["verdict"] == "within" for entry in regression.values())

@@ -2,9 +2,11 @@
 
 ``reference_matmul`` packs each row of B into one big int of 32- or 64-bit
 fields and reads row i of C back from one big-int multiply-add per element of
-A's row i.  The reference below is the oracle it replaced: one Python
-``sum(map(operator.mul, ...))`` per output element.  Both must agree exactly
-on every shape and operand, at the field-width boundary included.
+A's row i; when C has fewer columns than rows it does the same for
+C^T = B^T . A^T and transposes the result.  The reference below is the
+oracle it replaced: one Python ``sum(map(operator.mul, ...))`` per output
+element.  Both must agree exactly on every shape and operand, in both
+orientations and at the field-width boundary included.
 """
 
 import operator
@@ -56,6 +58,7 @@ def operand_pairs(draw):
 @example(make_gemm(GemmShape(1, 1, 9), 3))  # m = n = 1
 @example((filled(3, 5, 0), filled(5, 4, 127)))  # zero A
 @example((filled(4, 2, 127), filled(2, 1, -128)))  # one output column
+@example(make_gemm(GemmShape(5, 2, 3), 7))  # m > n: packs the rows of A^T
 def test_matches_dot_products(operands):
     assert_matches_reference(*operands)
 
@@ -71,19 +74,38 @@ def test_field_width_boundary(k, a_value, b_value):
     assert product == filled(1, 2, k * a_value * b_value)
 
 
-@pytest.mark.parametrize(
-    "a_value, b_value, k",
-    [
-        (2**20, -(2**20), 5),  # 64-bit fields
-        (-(2**20), 3, 100),  # 32-bit fields
-        (0, 2**40, 4),  # a zero A still needs fields wide enough for B
-        (2**32, 2**31 - 1, 1),  # 2^63 - 2^32, just below the limit
-    ],
-)
+# The transposed shape, 2 x k . k x 1, packs the rows of A^T instead of B's.
+@pytest.mark.parametrize("k", [131071, 131072])
+@pytest.mark.parametrize("a_value, b_value", [(-128, -128), (127, 127), (-128, 127)])
+def test_field_width_boundary_transposed(k, a_value, b_value):
+    product = reference_matmul(filled(2, k, a_value), filled(k, 1, b_value))
+    assert product == filled(2, 1, k * a_value * b_value)
+
+
+OUTSIDE_OPERAND_RANGE = [
+    (2**20, -(2**20), 5),  # 64-bit fields
+    (-(2**20), 3, 100),  # 32-bit fields
+    (0, 2**40, 4),  # a zero A still needs fields wide enough for B
+    (2**32, 2**31 - 1, 1),  # 2^63 - 2^32, just below the limit
+]
+
+
+def wide_operands(a_value, b_value, k):
+    return Matrix(2, k, [a_value, -a_value] * k), Matrix(k, 3, [b_value, -b_value, 1] * k)
+
+
+@pytest.mark.parametrize("a_value, b_value, k", OUTSIDE_OPERAND_RANGE)
 def test_operands_outside_operand_range(a_value, b_value, k):
-    a = Matrix(2, k, [a_value, -a_value] * k)
-    b = Matrix(k, 3, [b_value, -b_value, 1] * k)
-    assert_matches_reference(a, b)
+    assert_matches_reference(*wide_operands(a_value, b_value, k))
+
+
+# B^T . A^T, 3 x k . k x 2, takes the flipped path and packs the transpose of
+# its first factor.  In the zero-A case that side holds 2^40 while the bound
+# is 0, so 32-bit fields cut it; every product is zero all the same.
+@pytest.mark.parametrize("a_value, b_value, k", OUTSIDE_OPERAND_RANGE)
+def test_operands_outside_operand_range_transposed(a_value, b_value, k):
+    a, b = wide_operands(a_value, b_value, k)
+    assert_matches_reference(Matrix.from_numpy(b.to_numpy().T), Matrix.from_numpy(a.to_numpy().T))
 
 
 def test_bound_of_2_to_the_63_is_rejected():

@@ -1,12 +1,16 @@
 """Differential tests: streamer transfer counts against two references.
 
 ``_cs_transfer_counts`` counts the CE subtrees that need each operand slice
-from the owner-group starts of each tree level.  The first reference
-enumerates the need sets output by output, with one ``owner_of`` bisect per
-output over the partition's range starts and a set of group ids per column.
-The second is the counting it replaced: an m*n owner grid per level, whose
-changes along rows and down columns are counted with ``np.diff``.  It is
-cheap enough to reach 512x512 outputs, which the first is not.
+from the owner-group starts of each tree level, read as strided slices of one
+array of every PE's range start (``starts[g::g]`` and their predecessors
+``starts[:-g:g]``).  The first reference enumerates the need sets output by
+output, with one ``owner_of`` bisect per output over the partition's range
+starts and a set of group ids per column.  The second is the counting it
+replaced: an m*n owner grid per level, whose changes along rows and down
+columns are counted with ``np.diff``.  It is cheap enough to reach 512x512
+outputs, which the first is not.  Shifting the predecessors by one start,
+or counting the in-row starts of every PE past the first group instead of
+the group starts alone, fails both tests.
 """
 
 from bisect import bisect_right

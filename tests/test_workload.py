@@ -68,6 +68,27 @@ def test_matrix_accessors():
     assert Matrix.from_numpy(m.to_numpy()) == m
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: m.at(0, 5), "column 5"),  # read 6, the flat element 5
+        (lambda m: m.at(0, 3), "column 3"),  # read 4, the next row's first
+        (lambda m: m.at(-1, 0), "row -1"),  # read 4, numpy's last-row wrap
+        (lambda m: m.at(2, 0), "row 2"),
+        (lambda m: m.row(2), "row 2"),  # read ()
+        (lambda m: m.row(-1), "row -1"),
+        (lambda m: m.col(3), "column 3"),  # read (4,)
+        (lambda m: m.col(-1), "column -1"),
+    ],
+    ids=["at-col-past-end", "at-col-wraps", "at-negative-row", "at-row-past-end",
+         "row-past-end", "row-negative", "col-past-end", "col-negative"],
+)
+def test_matrix_accessors_reject_indices_outside_the_shape(call, message):
+    m = Matrix(2, 3, [1, 2, 3, 4, 5, 6])
+    with pytest.raises(IndexError, match=f"^{message} outside a 2x3 matrix$"):
+        call(m)
+
+
 @pytest.mark.parametrize("rows", [[], [[]], [[], []]], ids=["no-rows", "one-empty-row", "two-empty-rows"])
 def test_matrix_from_empty_rows_is_rejected(rows):
     with pytest.raises(ValueError, match=r"^matrix (rows|cols) must be >= 1, got 0$"):

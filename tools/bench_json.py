@@ -15,9 +15,16 @@ pairs each side won, lower being better; a tie counts for neither.  Under
 ``claim`` it records per metric the parent's IQR (q3 - q1), the median gap
 (parent median - change median, positive when the change is lower) and
 whether a gain may be claimed: the change won at least nine tenths of the
-pairs and the gap exceeds the parent's IQR.  It also counts the pairs whose
-two runs simulated the same statistics (equal perfbench ``digest``), as
-``digests_equal``.
+pairs and the gap exceeds the parent's IQR.  Under ``regression`` it records
+per metric the no-regression verdict: the metric's bound from the
+repository's ``BENCHMARK.json`` (a fraction of the parent's median), the
+median change relative to the parent's median, the parent's IQR relative to
+its median, and a verdict.  The verdict is ``within`` when every run of the
+change is lower than every run of the parent, else ``unresolved`` when the
+parent's relative IQR exceeds the bound (the spread is too wide to tell),
+else ``worse`` when the relative change exceeds the bound and ``within``
+otherwise.  It also counts the pairs whose two runs simulated the same
+statistics (equal perfbench ``digest``), as ``digests_equal``.
 
 The same directories may hold one ``perfbench/run.py --trace 1`` report per
 workload and side.  Where both sides ran the same seed traced, the
@@ -40,6 +47,7 @@ import sys
 from pathlib import Path
 
 METRICS = ("pass_s", "cpu_s", "setup_s", "peak_rss_mb")  # lower is better for each
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"  # read, never written
 
 
 class BenchError(Exception):
@@ -92,8 +100,29 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def regression(parent: list[float], change: list[float], bound: float) -> dict:
+    """The no-regression verdict of one metric, lower being better."""
+    quartiles = spread(parent)
+    base = quartiles["median"]
+    change_rel = (spread(change)["median"] - base) / base
+    iqr_rel = (quartiles["q3"] - quartiles["q1"]) / base
+    if max(change) < min(parent):
+        verdict = "within"
+    elif iqr_rel > bound:
+        verdict = "unresolved"
+    else:
+        verdict = "worse" if change_rel > bound else "within"
+    return {
+        "bound": bound,
+        "median_change": change_rel,
+        "parent_relative_iqr": iqr_rel,
+        "verdict": verdict,
+    }
+
+
 def summarise(parent_dir: Path, change_dir: Path, pr: int) -> dict:
     sides = {"parent": load_side(parent_dir), "change": load_side(change_dir)}
+    bounds = {m["name"]: m["bound"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     workloads = {}
     for name in sorted(sides["change"][1]):
         seeds = sorted(set(sides["parent"][1].get(name, {})) & set(sides["change"][1][name]))
@@ -110,7 +139,7 @@ def summarise(parent_dir: Path, change_dir: Path, pr: int) -> dict:
             metrics = [runs[name][seed]["result"]["metrics"] for seed in seeds]
             values[side] = {key: [m[key]["value"] for m in metrics] for key in METRICS}
             entry[side] = {"commit": commit} | {key: spread(values[side][key]) for key in METRICS}
-        entry["wins"], entry["claim"] = {}, {}
+        entry["wins"], entry["claim"], entry["regression"] = {}, {}, {}
         for key in METRICS:
             pairs = list(zip(values["parent"][key], values["change"][key]))
             wins = entry["wins"][key] = {
@@ -124,6 +153,9 @@ def summarise(parent_dir: Path, change_dir: Path, pr: int) -> dict:
                 "median_gap": gap,
                 "holds": 10 * wins["change"] >= 9 * len(pairs) and gap > iqr,
             }
+            entry["regression"][key] = regression(
+                values["parent"][key], values["change"][key], bounds[key]
+            )
         env = dict(sides["change"][1][name][seeds[0]]["environment"])
         del env["seed"], env["commit"]
         entry["environment"] = env

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .. import bounds as bounds_mod
 from .. import meshflow, streamer, summa, systolic
 from ..bounds import CommModel, dark_silicon, fisher_bound, inner_product_bound_input, tree_time
-from ..workload import GemmShape, make_gemm, reference_matmul
+from ..workload import GemmShape, as_count, make_gemm, reference_matmul
 
 STREAMER_TRANSFER_KINDS = {
     "mem_to_ce",
@@ -81,9 +81,9 @@ class CorpusInstance:
 
 def corpus_instances(seed: int, size: int) -> list[CorpusInstance]:
     """Randomized desk-scale GEMM corpus; reproducible from the suite seed."""
-    rng = random.Random(seed)
+    rng = random.Random(as_count(seed, "seed"))
     instances = []
-    for _ in range(size):
+    for _ in range(as_count(size, "corpus size", 1)):
         shape = GemmShape(rng.randint(1, 64), rng.randint(1, 64), rng.randint(1, 64))
         instances.append(
             CorpusInstance(
@@ -143,7 +143,7 @@ def run_corpus_checks(seed: int = 0, corpus_size: int = 200) -> list[PropertyRes
         # Mesh reductions on the first row of A against the first column of
         # B, whose dot product is the oracle's top-left element.
         vecs = (a.to_numpy()[0], b.to_numpy()[:, 0])
-        expected = oracle.at(0, 0)
+        expected = int(oracle.data[0])
         chain_res = meshflow.simulate_chain_reduction(shape.k, operands=vecs)
         p_exact.check(chain_res.scalar == expected, f"chain result mismatch ({tag})")
         grid_res = meshflow.simulate_grid_reduction(shape.k, operands=vecs)
@@ -308,6 +308,7 @@ def check_determinism(seed: int = 0) -> PropertyResult:
 
 
 def run_validation(seed: int = 0, corpus_size: int = 200) -> ValidationReport:
+    seed = as_count(seed, "seed")  # corpus_instances checks corpus_size first
     properties = run_corpus_checks(seed, corpus_size)
     properties.append(check_bound_respect())
     properties.append(check_dark_silicon())

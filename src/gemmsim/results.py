@@ -35,7 +35,7 @@ class SimResult:
         """The single element of a 1x1 result (inner-product runs)."""
         if self.result.rows != 1 or self.result.cols != 1:
             raise ValueError("result is not 1x1")
-        return self.result.at(0, 0)
+        return int(self.result.data[0])
 
 
 def build_result(

@@ -11,6 +11,7 @@ import functools
 import operator
 import random
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,18 +26,19 @@ OPERAND_MAX = 127
 PRODUCT_MAX = max(-OPERAND_MIN, OPERAND_MAX) ** 2  # the largest |a*b|
 
 
-def as_count(value: object, name: str, minimum: int) -> int:
+def as_count(value: object, name: str, minimum: int | None = None) -> int:
     """The one rule for an integer parameter of a simulator or an analytic model.
 
     value must be a Python or numpy integer, never a bool (Python or
-    ``np.bool_``) or a float, and at least minimum.  The result is a Python
-    int, so no numpy integer type can wrap in the arithmetic it feeds.
+    ``np.bool_``) or a float, and at least minimum unless that is None (as
+    for seeds).  The result is a Python int, so no numpy integer type can
+    wrap in the arithmetic it feeds.
     """
     if type(value) is not int:  # the common case skips both isinstance checks
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         value = int(value)
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
 
@@ -65,6 +67,7 @@ class Matrix:
 
     The constructor copies any flat integer sequence or array into its own
     buffer and rejects floats, bools and values that do not fit in int64.
+    Reads go through :meth:`to_numpy`.
     """
 
     rows: int
@@ -104,39 +107,16 @@ class Matrix:
         return hash((self.rows, self.cols, self.data.tobytes()))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Matrix":
-        c = len(rows[0]) if rows else 0  # an empty list fails Matrix's row count
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged row lengths")
-        return cls(len(rows), c, [e for row in rows for e in row])
-
-    @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "Matrix":
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
         return cls(arr.shape[0], arr.shape[1], arr.ravel())
 
-    def _index(self, name: str, index: int, size: int) -> int:
-        if not 0 <= index < size:
-            raise IndexError(f"{name} {index} outside a {self.rows}x{self.cols} matrix")
-        return index
-
-    def at(self, i: int, j: int) -> int:
-        i, j = self._index("row", i, self.rows), self._index("column", j, self.cols)
-        return int(self.data[i * self.cols + j])
-
-    def row(self, i: int) -> tuple[int, ...]:
-        i = self._index("row", i, self.rows)
-        return tuple(self.data[i * self.cols : (i + 1) * self.cols].tolist())
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.data[self._index("column", j, self.cols) :: self.cols].tolist())
-
-    def to_rows(self) -> list[list[int]]:
-        return self.to_numpy().tolist()
-
     def to_numpy(self) -> np.ndarray:
-        """Read-only (rows, cols) view of the matrix's own buffer."""
+        """Read-only (rows, cols) view of the matrix's own buffer.
+
+        numpy bounds each axis on its own, so no index can read across a row.
+        """
         return self.data.reshape(self.rows, self.cols)
 
 
@@ -157,7 +137,7 @@ def resolve_vector_operands(
 
     Either way the vectors are read-only int64 arrays of length n.
     """
-    n = as_count(n, "inner product length", 1)
+    n, seed = as_count(n, "inner product length", 1), as_count(seed, "seed")
     if operands is None:
         return make_vectors(n, seed)
     if any(len(v) != n for v in operands):
@@ -169,9 +149,12 @@ def resolve_vector_operands(
 
 
 # Draws of at least this many values take their words from numpy's MT19937
-# loaded with the generator's state.  The crossover, ~19,000 values on a
-# 2-core x86 host, was measured while each draw also built the MT19937
-# (~0.4 ms a call with the state copies); this is the next power of two.
+# loaded with the generator's state.  Copying the state in and back out costs
+# ~0.14 ms a draw, which pays off past ~11,000 values (best of 15 on a 2-core
+# x86 host: 8,192 values take 0.25 ms from getrandbits and 0.28 ms from the
+# MT19937, 32,768 take 0.99 and 0.68 ms).  No workload draws between 8,192
+# and 32,768 values, and 2^15 keeps numpy.random (~6 MB of RSS) out of every
+# shipped config, whose largest draw is 8,192 values.
 NUMPY_DRAW_MIN = 2**15
 
 # A round draws at most this many words, so its buffers keep one small size
@@ -218,14 +201,15 @@ def _draw_operands(rng: random.Random, count: int) -> np.ndarray:
         )
     else:
         version, internal, gauss_next = rng.getstate()
-        mt = _mt19937()
         key = np.array(internal[:-1], dtype=np.uint32)
-        mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": internal[-1]}}
-        # random_raw widens each 32-bit word to a native uint64.
-        ops, filled = _accept_words(
-            count, mt.random_raw, lambda words: words.view(np.int16)[_HIGH_HALF::4]
-        )
-        state = mt.state["state"]
+        with _MT19937_LOCK:
+            mt = _mt19937()
+            mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": internal[-1]}}
+            # random_raw widens each 32-bit word to a native uint64.
+            ops, filled = _accept_words(
+                count, mt.random_raw, lambda words: words.view(np.int16)[_HIGH_HALF::4]
+            )
+            state = mt.state["state"]
         rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
     tail = []
     while len(tail) < count - filled:
@@ -236,10 +220,15 @@ def _draw_operands(rng: random.Random, count: int) -> np.ndarray:
     return ops
 
 
+# Held by a large draw from loading its state into the shared MT19937 until
+# it reads the state back, so draws from several threads never interleave.
+_MT19937_LOCK = threading.Lock()
+
+
 @functools.cache
 def _mt19937():
-    """The one MT19937 that every large draw loads its own state into, so
-    draws from several threads at once would clash; gemmsim draws on one."""
+    """The one MT19937 that every large draw loads its own state into, under
+    ``_MT19937_LOCK``."""
     from numpy.random import MT19937  # ~6 MB of RSS, so only on first use
 
     return MT19937(0)  # a fixed seed skips the OS entropy; the state is replaced
@@ -285,7 +274,7 @@ def make_gemm(shape: GemmShape, seed: int) -> tuple[Matrix, Matrix]:
     are bitwise identical.
     """
     split = shape.m * shape.k
-    ops = _draw_operands(random.Random(seed), split + shape.k * shape.n)
+    ops = _draw_operands(random.Random(as_count(seed, "seed")), split + shape.k * shape.n)
     return Matrix(shape.m, shape.k, ops[:split]), Matrix(shape.k, shape.n, ops[split:])
 
 
@@ -295,7 +284,7 @@ def make_vectors(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     Returns two read-only int64 views of one draw of 2n values: a, then b.
     """
     n = as_count(n, "vector length", 1)
-    ops = _draw_operands(random.Random(seed), 2 * n)
+    ops = _draw_operands(random.Random(as_count(seed, "seed")), 2 * n)
     ops.flags.writeable = False
     return ops[:n], ops[n:]
 

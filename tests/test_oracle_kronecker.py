@@ -19,8 +19,8 @@ from gemmsim import GemmShape, Matrix, make_gemm, reference_matmul
 
 
 def dot_product_matmul(a, b):
-    bcols = list(zip(*b.to_rows()))
-    out = [sum(map(operator.mul, arow, bcol)) for arow in a.to_rows() for bcol in bcols]
+    arows, bcols = a.to_numpy().tolist(), b.to_numpy().T.tolist()
+    out = [sum(map(operator.mul, arow, bcol)) for arow in arows for bcol in bcols]
     return Matrix(a.rows, b.cols, out)
 
 

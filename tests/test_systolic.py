@@ -21,15 +21,15 @@ from gemmsim import (
 
 
 def test_single_pe_pipeline():
-    a, b = Matrix.from_rows([[3]]), Matrix.from_rows([[-5]])
+    a, b = Matrix(1, 1, [3]), Matrix(1, 1, [-5])
     res = simulate_systolic_gemm(a, b, SystolicConfig(1, 1))
-    assert res.result == Matrix.from_rows([[-15]])
+    assert res.result == Matrix(1, 1, [-15])
     assert res.cycles == 2  # one load clock, one streaming clock
     assert res.mac_ops_issued == 1
 
 
 def test_identity_passthrough_with_pipeline_slack():
-    b = Matrix.from_rows([[4, -7], [2, 9]])
+    b = Matrix(2, 2, [4, -7, 2, 9])
     identity = Matrix.from_numpy(np.eye(2, dtype=np.int64))
     res = simulate_systolic_gemm(identity, b, SystolicConfig(2, 2))
     assert res.result == b
@@ -117,8 +117,8 @@ def test_array_extents_must_be_integers(rows):
 
 
 def test_operand_range_enforced():
-    a = Matrix.from_rows([[300]])
-    b = Matrix.from_rows([[1]])
+    a = Matrix(1, 1, [300])
+    b = Matrix(1, 1, [1])
     with pytest.raises(ValueError):
         simulate_systolic_gemm(a, b, SystolicConfig(1, 1))
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +19,11 @@ from gemmsim import (
     make_vectors,
     outer_product_schedule,
     reference_matmul,
+    simulate_chain_reduction,
+    simulate_grid_reduction,
+    simulate_tree_inner_product,
 )
+from gemmsim.harness.validation import corpus_instances, run_validation
 from gemmsim.workload import (
     DRAW_ROUND_WORDS,
     DRAW_TAIL,
@@ -32,10 +37,11 @@ def outer_product_sum(steps, m, n):
     """Independent accumulation of the schedule's rank updates."""
     acc = [[0] * n for _ in range(m)]
     for cb, rb in steps:
+        col, row = cb.to_numpy().tolist(), rb.to_numpy().tolist()
         for i in range(m):
             for j in range(n):
-                acc[i][j] += sum(cb.at(i, t) * rb.at(t, j) for t in range(cb.cols))
-    return Matrix.from_rows(acc)
+                acc[i][j] += sum(col[i][t] * row[t][j] for t in range(cb.cols))
+    return Matrix.from_numpy(np.array(acc))
 
 
 def test_shape_validation():
@@ -61,38 +67,42 @@ def test_matrix_validation():
 
 
 def test_matrix_accessors():
-    m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    assert m.at(1, 2) == 6
-    assert m.row(0) == (1, 2, 3)
-    assert m.col(1) == (2, 5)
-    assert Matrix.from_numpy(m.to_numpy()) == m
+    # to_numpy() is the one read path: elements, rows and columns.
+    view = Matrix(2, 3, [1, 2, 3, 4, 5, 6]).to_numpy()
+    assert view[1, 2] == 6
+    assert view[0].tolist() == [1, 2, 3]
+    assert view[:, 1].tolist() == [2, 5]
+    assert Matrix.from_numpy(view) == Matrix(2, 3, [1, 2, 3, 4, 5, 6])
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "index, bad, axis",
     [
-        (lambda m: m.at(0, 5), "column 5"),  # read 6, the flat element 5
-        (lambda m: m.at(0, 3), "column 3"),  # read 4, the next row's first
-        (lambda m: m.at(-1, 0), "row -1"),  # read 4, numpy's last-row wrap
-        (lambda m: m.at(2, 0), "row 2"),
-        (lambda m: m.row(2), "row 2"),  # read ()
-        (lambda m: m.row(-1), "row -1"),
-        (lambda m: m.col(3), "column 3"),  # read (4,)
-        (lambda m: m.col(-1), "column -1"),
+        ((0, 5), 5, 1),  # the flat buffer's element 5 would read 6
+        ((0, 3), 3, 1),  # the flat buffer would read the next row's first, 4
+        ((-3, 0), -3, 0),  # numpy wraps only -2 and -1 onto the rows
+        ((2, 0), 2, 0),
+        (2, 2, 0),
+        (-3, -3, 0),
+        ((slice(None), 3), 3, 1),
+        ((slice(None), -4), -4, 1),
     ],
     ids=["at-col-past-end", "at-col-wraps", "at-negative-row", "at-row-past-end",
          "row-past-end", "row-negative", "col-past-end", "col-negative"],
 )
-def test_matrix_accessors_reject_indices_outside_the_shape(call, message):
-    m = Matrix(2, 3, [1, 2, 3, 4, 5, 6])
-    with pytest.raises(IndexError, match=f"^{message} outside a 2x3 matrix$"):
-        call(m)
+def test_matrix_accessors_reject_indices_outside_the_shape(index, bad, axis):
+    view = Matrix(2, 3, [1, 2, 3, 4, 5, 6]).to_numpy()
+    message = f"^index {bad} is out of bounds for axis {axis} with size {view.shape[axis]}$"
+    with pytest.raises(IndexError, match=message):
+        view[index]
 
 
-@pytest.mark.parametrize("rows", [[], [[]], [[], []]], ids=["no-rows", "one-empty-row", "two-empty-rows"])
-def test_matrix_from_empty_rows_is_rejected(rows):
+@pytest.mark.parametrize(
+    "shape", [(0, 1), (1, 0), (2, 0)], ids=["no-rows", "one-empty-row", "two-empty-rows"]
+)
+def test_matrix_from_empty_rows_is_rejected(shape):
     with pytest.raises(ValueError, match=r"^matrix (rows|cols) must be >= 1, got 0$"):
-        Matrix.from_rows(rows)
+        Matrix.from_numpy(np.zeros(shape, dtype=np.int64))
 
 
 @pytest.mark.parametrize(
@@ -125,21 +135,21 @@ def test_matrix_dimensions_must_be_integers(rows, cols, name):
 
 def test_matrix_accepts_int64_range_and_numpy_ints():
     m = Matrix(1, 3, (np.int64(2**63 - 1), -(2**63), np.uint8(7)))
-    assert m.row(0) == (2**63 - 1, -(2**63), 7)
+    assert m.to_numpy()[0].tolist() == [2**63 - 1, -(2**63), 7]
     assert m.data.dtype == np.int64
     m = Matrix(np.int64(2), np.uint8(2), [1, 2, 3, 4])
     assert type(m.rows) is int and type(m.cols) is int
 
 
 def test_matrix_storage_is_read_only():
-    m = Matrix.from_rows([[1, 2], [3, 4]])
+    m = Matrix(2, 2, [1, 2, 3, 4])
     view = m.to_numpy()
     assert not view.flags.writeable
     with pytest.raises(ValueError):
         view[0, 0] = 9
     with pytest.raises(ValueError):
         m.data[0] = 9
-    assert m.to_rows() == [[1, 2], [3, 4]]
+    assert view.tolist() == [[1, 2], [3, 4]]
 
 
 def test_matrix_never_aliases_its_input():
@@ -147,15 +157,15 @@ def test_matrix_never_aliases_its_input():
     m = Matrix.from_numpy(arr)
     assert not np.shares_memory(m.data, arr)
     arr[0, 0] = 99
-    assert m.at(0, 0) == 1
+    assert m.to_numpy()[0, 0] == 1
     flat = np.array([5, 6], dtype=np.int64)
     v = Matrix(1, 2, flat)
     flat[1] = 0
-    assert v.at(0, 1) == 6
+    assert v.to_numpy()[0, 1] == 6
 
 
 def test_matrix_equality_compares_shape_and_values():
-    a = Matrix.from_rows([[1, 2, 3, 4]])
+    a = Matrix(1, 4, [1, 2, 3, 4])
     assert a == Matrix(1, 4, np.arange(1, 5))
     assert hash(a) == hash(Matrix(1, 4, np.arange(1, 5)))
     assert a != Matrix(2, 2, (1, 2, 3, 4))
@@ -269,6 +279,34 @@ def test_interleaved_large_draws_match_randint():
         assert rngs[name].getstate() == twins[name].getstate()
 
 
+def test_large_draws_on_several_threads_match_serial_draws():
+    # Every large draw loads its state into the one shared MT19937, so two
+    # threads drawing at once would each read words the other's state left.
+    # A short switch interval makes the threads swap inside every draw.
+    seeds = range(4)
+    expected = {seed: make_vectors(NUMPY_DRAW_MIN * 2, seed) for seed in seeds}
+    got = {}
+    start = threading.Barrier(len(seeds))
+
+    def draw(seed):
+        start.wait()
+        got[seed] = make_vectors(NUMPY_DRAW_MIN * 2, seed)
+
+    threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in seeds:
+        assert [v.tolist() for v in got[seed]] == [v.tolist() for v in expected[seed]], seed
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_large_draw_peaks_at_output_plus_one_round(seed):
     # Capped rounds keep a draw's memory the same whatever the seed rejects:
@@ -309,8 +347,8 @@ def test_make_gemm_matches_randint_construction(dims, seed):
     want_a = [randint_draws(rng, k) for _ in range(m)]
     want_b = [randint_draws(rng, n) for _ in range(k)]
     a, b = make_gemm(GemmShape(m, n, k), seed)
-    assert a.to_rows() == want_a
-    assert b.to_rows() == want_b
+    assert a.to_numpy().tolist() == want_a
+    assert b.to_numpy().tolist() == want_b
 
 
 @pytest.mark.parametrize("n", [1, 2, 999, 50_000])
@@ -333,8 +371,46 @@ def test_make_vectors():
         make_vectors(0, 1)
 
 
+# Every entry point that takes a seed, each returning a comparable value.
+SEEDED = {
+    "make_gemm": lambda seed: make_gemm(GemmShape(3, 2, 4), seed),
+    "make_vectors": lambda seed: [v.tolist() for v in make_vectors(5, seed)],
+    "chain": lambda seed: simulate_chain_reduction(5, seed=seed).scalar,
+    "grid": lambda seed: simulate_grid_reduction(5, seed=seed).scalar,
+    "tree": lambda seed: simulate_tree_inner_product(5, seed=seed).scalar,
+    "tree-operands": lambda seed: simulate_tree_inner_product(
+        2, operands=([1, 2], [3, 4]), seed=seed
+    ).scalar,
+    "corpus_instances": lambda seed: corpus_instances(seed, 3),
+    "run_validation": lambda seed: run_validation(seed, 1).lines(),
+}
+
+
+@pytest.mark.parametrize("entry", SEEDED)
+def test_seeds_follow_the_integer_rule(entry):
+    draw = SEEDED[entry]
+    assert draw(np.int64(5)) == draw(np.uint8(5)) == draw(5)
+    for seed in (True, np.True_, 1.0, 1.5):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            draw(seed)
+
+
+def test_negative_seeds_draw_what_their_absolute_value_draws():
+    # random.seed hashes |a| for an int a.
+    assert make_gemm(GemmShape(3, 2, 4), -5) == make_gemm(GemmShape(3, 2, 4), 5)
+
+
+@pytest.mark.parametrize(
+    "size, message", [(2.5, "an integer, got 2.5"), (0, ">= 1, got 0")], ids=["float", "zero"]
+)
+def test_validation_corpus_size_follows_the_integer_rule(size, message):
+    for run in (corpus_instances, run_validation):
+        with pytest.raises(ValueError, match=f"^corpus size must be {message}$"):
+            run(0, size)
+
+
 def test_reference_matmul_identity():
-    b = Matrix.from_rows([[5, -3, 2], [0, 7, 1], [9, 9, -8]])
+    b = Matrix(3, 3, [5, -3, 2, 0, 7, 1, 9, 9, -8])
     assert reference_matmul(Matrix.from_numpy(np.eye(3, dtype=np.int64)), b) == b
 
 
@@ -343,14 +419,14 @@ def zeros(rows, cols):
 
 
 def test_reference_matmul_zero():
-    b = Matrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    b = Matrix(3, 2, [1, 2, 3, 4, 5, 6])
     assert reference_matmul(zeros(2, 3), b) == zeros(2, 2)
 
 
 def test_reference_matmul_known_product():
-    a = Matrix.from_rows([[1, 2], [3, 4]])
-    b = Matrix.from_rows([[5, 6], [7, 8]])
-    assert reference_matmul(a, b) == Matrix.from_rows([[19, 22], [43, 50]])
+    a = Matrix(2, 2, [1, 2, 3, 4])
+    b = Matrix(2, 2, [5, 6, 7, 8])
+    assert reference_matmul(a, b) == Matrix(2, 2, [19, 22, 43, 50])
 
 
 def test_reference_matmul_dimension_mismatch():
@@ -391,12 +467,8 @@ def test_schedule_ragged_widths():
 def test_schedule_block_concatenation():
     a, b = make_gemm(GemmShape(4, 4, 7), 2)
     steps = outer_product_schedule(a, b, 3)
-    rebuilt_a = [
-        sum((list(col.row(i)) for col, _ in steps), []) for i in range(4)
-    ]
-    assert Matrix.from_rows(rebuilt_a) == a
-    rebuilt_b = [r for _, row in steps for r in row.to_rows()]
-    assert Matrix.from_rows(rebuilt_b) == b
+    assert Matrix.from_numpy(np.hstack([col.to_numpy() for col, _ in steps])) == a
+    assert Matrix.from_numpy(np.vstack([row.to_numpy() for _, row in steps])) == b
 
 
 def test_schedule_width_errors():

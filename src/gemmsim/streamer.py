@@ -31,8 +31,9 @@ DEFAULT_FANOUT = 4
 DEFAULT_LEVEL_LATENCY = 1
 
 # In-range products are at most 2^14 in magnitude, so every partial sum of a
-# dot product shorter than this is an integer below 2^53: float64 holds it
-# exactly, in whatever order BLAS adds.
+# dot product shorter than these is an integer of at most 2^24 or below 2^53:
+# float32 or float64 holds it exactly, in whatever order BLAS adds.
+FLOAT32_EXACT_K = 2**24 // PRODUCT_MAX
 FLOAT64_EXACT_K = 2**53 // PRODUCT_MAX
 
 
@@ -213,10 +214,11 @@ def simulate_cs_gemm(
     it independent of the inner dimension for a fixed (m, n, P, W): there is
     no occupancy cliff at low k.
 
-    The steps fix the timing only; C itself is one float64 BLAS product,
-    exact because require_operand_range bounds every partial sum by k*2^14,
-    an integer below 2^53 while k < FLOAT64_EXACT_K.  Longer inner
-    dimensions fall back to an int64 product.
+    The steps fix the timing only; C itself is one BLAS product, exact
+    because require_operand_range bounds every partial sum by k*2^14: in
+    float32 while k < FLOAT32_EXACT_K = 2^10 (sums of at most 2^24), in
+    float64 while k < FLOAT64_EXACT_K = 2^39 (below 2^53), and in int64
+    beyond.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} . {b.rows}x{b.cols}")
@@ -234,11 +236,9 @@ def simulate_cs_gemm(
         """Clocks a step of width bw holds the machine: root port or busiest PE."""
         return max(-(-(m + n) * bw // width), owned_max * bw)
 
-    an, bn = a.to_numpy(), b.to_numpy()
-    if k < FLOAT64_EXACT_K:
-        c = (an.astype(np.float64) @ bn.astype(np.float64)).astype(np.int64)
-    else:
-        c = an @ bn
+    dtype = np.float32 if k < FLOAT32_EXACT_K else np.float64 if k < FLOAT64_EXACT_K else np.int64
+    c = a.to_numpy().astype(dtype, copy=False) @ b.to_numpy().astype(dtype, copy=False)
+    c = c.astype(np.int64, copy=False)
     stream_cycles = q * span(w) + span(r)
 
     fill = tree.levels * tree.level_latency  # one traversal of the hierarchy

@@ -13,9 +13,11 @@ The passes are independent, so one loop advances all of them, in one of two
 orders.  The clock loop steps every PE of every pass one clock at a time;
 the row loop steps one array row at a time over every clock, which is legal
 because a partial sum depends only on the PE above one clock earlier and an
-A register on the PE to the west one clock earlier.  Small calls, whose
-per-clock numpy calls cost more than their arithmetic, take the row loop;
-both fill the same ``bottom``, the bottom row's k-tile sums per clock.
+A register on the PE to the west one clock earlier.  Calls whose per-clock
+state or whose one n-tile series is small, where per-clock numpy calls cost
+more than their arithmetic, take the row loop; both fill the same
+``bottom``, the bottom row's k-tile sums per clock, from the same
+n-tile-major weights (n-tiles, R, k-tiles, C).
 Output row i leaves column c at stream cycle i + R - 1 + c, so the result
 is read as one strided view of ``bottom`` down those diagonals.  Every
 (i, j, l) of the GEMM meets once, so the useful MACs are m*n*k; only the
@@ -37,8 +39,11 @@ from .workload import PRODUCT_MAX, GemmShape, Matrix, as_count, require_operand_
 # holds each one exactly while k is below this.
 INT32_EXACT_K = 2**31 // PRODUCT_MAX
 # The row loop runs when one n-tile's partial sums over every clock, k-tiles *
-# C * (span + 1) elements, fit in this many, and holds two buffers of this
-# size at most; larger calls run the clock loop, which was faster at 256^3.
+# C * (span + 1) elements, or the per-clock state, R * n-tiles * k-tiles * C
+# elements, fit in this many; other calls run the clock loop.  The two loops
+# cross between states of 16,384 and 36,864 elements (README).  The row loop
+# holds two buffers of at most this size, or of one n-tile's series when
+# that series is longer.
 ROW_LOOP_ELEMENTS = 2**15
 
 
@@ -72,38 +77,48 @@ def systolic_cycle_formula(shape: GemmShape, cfg: SystolicConfig) -> int:
 def _clock_loop(inject: np.ndarray, weights: np.ndarray, bottom: np.ndarray) -> None:
     """Advance every pass one clock at a time, filling ``bottom``.
 
-    The state is array-row-major, (R, n-tiles, k-tiles, C): the southward
-    shift is one contiguous add, and the bottom row is one contiguous block.
+    The partial sums are n-tile-major, (n-tiles, R + 1, k-tiles, C): the A
+    registers (R, k-tiles, C) broadcast over the outermost axis, and each
+    n-tile's array rows end in one separator row that is not a PE.  The
+    southward shift is then one flat add over the whole buffer; it carries
+    row R - 1 into the separator, and the separator, zeroed after every add,
+    into the next n-tile's row 0, so nothing crosses n-tiles.
     """
-    r_ext, _, kt, c_ext = weights.shape
+    nt, r_ext, kt, c_ext = weights.shape
+    row = kt * c_ext
     # Double-buffered A registers and partial sums: clock s writes buffer
     # s & 1 from buffer 1 - (s & 1).  The views each clock touches are built
     # once per parity.
-    a_buf = [np.zeros((r_ext, 1, kt, c_ext), dtype=weights.dtype) for _ in range(2)]
-    p_buf = [np.zeros(weights.shape, dtype=weights.dtype) for _ in range(2)]
+    a_buf = [np.zeros((r_ext, kt, c_ext), dtype=weights.dtype) for _ in range(2)]
+    p_buf = [np.zeros((nt, r_ext + 1, kt, c_ext), dtype=weights.dtype) for _ in range(2)]
     steps = [
         (
-            a_buf[j][:, 0, :, 0],
-            a_buf[j][..., 1:],
-            a_buf[1 - j][..., :-1],
+            a_buf[j][..., 0],
+            a_buf[j].reshape(-1)[1:],
+            a_buf[1 - j].reshape(-1)[:-1],
             a_buf[j],
-            p_buf[j],
-            p_buf[j][1:],
-            p_buf[1 - j][:-1],
-            p_buf[j][-1],
+            p_buf[j][:, :r_ext],
+            p_buf[j].reshape(-1)[row:],
+            p_buf[1 - j].reshape(-1)[:-row],
+            p_buf[j][:, r_ext],
+            p_buf[j][:, r_ext - 1],
         )
         for j in range(2)
     ]
     clocks = np.moveaxis(inject[..., c_ext:], 2, 0)
     for s, (a_in, p_out) in enumerate(zip(clocks, bottom)):
-        a_west, a_east, a_from, a_next, p_next, p_south, p_from, p_bottom = steps[s & 1]
-        # A moves one PE east; partial sums move one PE south and accumulate.
+        a_west, a_east, a_from, a_next, p_next, p_south, p_from, p_sep, p_bottom = steps[s & 1]
+        # A moves one PE east in one flat copy; column 0, which that copy
+        # fills with the element before it in memory, then takes the
+        # injected elements.
+        np.copyto(a_east, a_from)
         a_west[...] = a_in
-        a_east[...] = a_from
         np.multiply(a_next, weights, out=p_next)
+        # Partial sums move one PE south and accumulate.
         np.add(p_south, p_from, out=p_south)
+        p_sep.fill(0)
         # The bottom row leaves the array; the k-tiles of an output add up.
-        np.add.reduce(p_bottom, axis=1, out=p_out)
+        np.einsum("ukc->uc", p_bottom, out=p_out)
 
 
 def _row_loop(inject: np.ndarray, weights: np.ndarray, bottom: np.ndarray, chunk: int) -> None:
@@ -116,7 +131,7 @@ def _row_loop(inject: np.ndarray, weights: np.ndarray, bottom: np.ndarray, chunk
     element; the element crossing into the next series is row r - 1's at
     clock span - 1, zero because only row R - 1 holds a partial sum then.
     """
-    r_ext, nt, kt, c_ext = weights.shape
+    nt, r_ext, kt, c_ext = weights.shape
     span = bottom.shape[0]
     # a_rows[r, t, c, 1 + s] is inject[r, t, C + s - c].
     s0, s1, s2 = inject.strides
@@ -124,13 +139,15 @@ def _row_loop(inject: np.ndarray, weights: np.ndarray, bottom: np.ndarray, chunk
         inject[..., c_ext - 1 :], (r_ext, kt, c_ext, span + 1), (s0, s1, -s2, s2), writeable=False
     )
     p_buf = [np.empty((chunk, kt, c_ext, span + 1), dtype=weights.dtype) for _ in range(2)]
+    # w_rows[r, u, t, c] is weights[u, r, t, c], broadcast over the clocks.
+    w_rows = weights.transpose(1, 0, 2, 3)[..., None]
     for u0 in range(0, nt, chunk):
         # Row r writes buffer r & 1 from buffer 1 - (r & 1); the last chunk
         # may hold fewer n-tiles.
         p_rows = [p[: nt - u0] for p in p_buf]
         flat = [p.reshape(-1) for p in p_rows]
         steps = [(p_rows[j], flat[j][1:], flat[1 - j][:-1]) for j in range(2)]
-        for r, (a_row, w_row) in enumerate(zip(a_rows, weights[:, u0 : u0 + chunk, ..., None])):
+        for r, (a_row, w_row) in enumerate(zip(a_rows, w_rows[:, u0 : u0 + chunk])):
             p_next, p_south, p_from = steps[r & 1]
             np.multiply(a_row, w_row, out=p_next)
             if r:
@@ -148,7 +165,8 @@ def simulate_systolic_gemm(
     Counts every cycle of every pass (load, fill, steady streaming, drain);
     mac_ops_issued counts only useful MACs, m*n*k.  The passes advance in the
     row loop when one n-tile's partial sums over every clock, ceil(k/R) * C *
-    (m + R + C - 1) elements, fit in ROW_LOOP_ELEMENTS, and in the clock loop
+    (m + R + C - 1) elements, or the per-clock state, R * ceil(n/C) *
+    ceil(k/R) * C elements, fit in ROW_LOOP_ELEMENTS, and in the clock loop
     otherwise; every PE value, and so the result, is the same either way.
     The trace is pass-major (k-tile major): R load zeros, then the pass's
     streaming clocks.  Like a TPU's 8-bit multipliers feeding 32-bit
@@ -173,15 +191,15 @@ def simulate_systolic_gemm(
     for r in range(min(r_ext, k)):
         cols = a_np[:, r::r_ext].T
         inject[r, : cols.shape[0], c_ext + r : c_ext + r + m] = cols
-    # weights[r, u, t, c] is B[t*R + r, u*C + c], zero past the edges.
+    # weights[u, r, t, c] is B[t*R + r, u*C + c], zero past the edges.
     weights = np.zeros((kt * r_ext, nt * c_ext), dtype=dtype)
     weights[:k, :n] = b.to_numpy()
-    weights = weights.reshape(kt, r_ext, nt, c_ext).transpose(1, 2, 0, 3).copy()
+    weights = weights.reshape(kt, r_ext, nt, c_ext).transpose(2, 1, 0, 3).copy()
 
     bottom = np.empty((stream_span, nt, c_ext), dtype=dtype)
-    chunk = min(nt, ROW_LOOP_ELEMENTS // (kt * c_ext * (stream_span + 1)))
-    if chunk:
-        _row_loop(inject, weights, bottom, chunk)
+    series = kt * c_ext * (stream_span + 1)
+    if min(series, r_ext * nt * kt * c_ext) <= ROW_LOOP_ELEMENTS:
+        _row_loop(inject, weights, bottom, min(nt, max(1, ROW_LOOP_ELEMENTS // series)))
     else:
         _clock_loop(inject, weights, bottom)
     # Free the pass state before the result is copied.

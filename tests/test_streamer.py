@@ -192,8 +192,10 @@ def extreme_operands(m, n, k, mixed):
 
 
 @pytest.mark.parametrize("mixed", [False, True])
-@pytest.mark.parametrize("k", [4096, 10_000])
+@pytest.mark.parametrize("k", [1023, 4096, 10_000])
 def test_cs_gemm_float64_product_is_exact_at_extreme_operands(k, mixed):
+    # k = 1023 multiplies in float32, whose largest sum 1023 * 2^14 is below
+    # 2^24; the longer dot products in float64.
     assert k < streamer.FLOAT64_EXACT_K == 2**39
     a, b = extreme_operands(3, 5, k, mixed)
     res = simulate_cs_gemm(a, b, build_ce_tree(15), 256)
@@ -212,6 +214,24 @@ def test_cs_gemm_int64_fallback_beyond_float64_exact_k(monkeypatch, mixed):
     as_int = simulate_cs_gemm(a, b, tree, 256)
     assert as_int.result == as_float.result == reference_matmul(a, b)
     assert as_int == as_float
+
+
+def test_float32_exact_k_bounds_the_largest_sum():
+    k = streamer.FLOAT32_EXACT_K
+    assert k == 2**10
+    assert (k - 1) * 128**2 < 2**24 <= k * 128**2
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_cs_gemm_float32_product_matches_float64(monkeypatch, mixed):
+    k = streamer.FLOAT32_EXACT_K - 1
+    a, b = extreme_operands(3, 5, k, mixed)
+    tree = build_ce_tree(15)
+    as_float32 = simulate_cs_gemm(a, b, tree, 256)
+    monkeypatch.setattr(streamer, "FLOAT32_EXACT_K", k)
+    as_float64 = simulate_cs_gemm(a, b, tree, 256)
+    assert as_float32.result == as_float64.result == reference_matmul(a, b)
+    assert as_float32 == as_float64
 
 
 def test_cs_gemm_pe_overcommit_rejected():

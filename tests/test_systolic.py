@@ -200,18 +200,50 @@ def test_call_peaks_at_its_state_and_result(rows, cols, monkeypatch):
     assert peak < clock_loop_bound(128, 128, 128, rows, cols)
 
 
-@pytest.mark.parametrize("rows, cols", [(16, 16), (64, 64)])
-def test_row_loop_peaks_at_its_state_and_result(rows, cols):
+@pytest.mark.parametrize(
+    "m, n, k, rows, cols",
+    [(128, 128, 128, 16, 16), (128, 128, 128, 64, 64), (4096, 16, 16, 4, 4)],
+    ids=["16-16", "64-64", "long-stream"],
+)
+def test_row_loop_peaks_at_its_state_and_result(m, n, k, rows, cols, monkeypatch):
     # The int32 state (the schedule with its C leading zeros, weights, two
     # chunk buffers of whole n-tile series, bottom rows) and the int64
-    # result, plus 64 KiB; and no more than the clock loop's bound.
-    m = n = k = 128
+    # result, plus 64 KiB.  A series longer than ROW_LOOP_ELEMENTS runs in
+    # chunks of one n-tile; shorter ones stay below the clock loop's bound.
+    monkeypatch.setattr(systolic, "_clock_loop", refuse_loop)
     kt, nt, span = -(-k // rows), -(-n // cols), m + rows + cols - 2
     series = kt * cols * (span + 1)
-    assert series <= systolic.ROW_LOOP_ELEMENTS  # the default runs the row loop
-    chunk = min(nt, systolic.ROW_LOOP_ELEMENTS // series)
+    chunk = min(nt, max(1, systolic.ROW_LOOP_ELEMENTS // series))
     schedule, weights, bottom = rows * kt * (span + cols), rows * nt * kt * cols, span * nt * cols
     state = schedule + weights + 2 * chunk * series + bottom
     peak = call_peak(GemmShape(m, n, k), SystolicConfig(rows, cols))
     assert peak < 4 * state + 8 * m * n + 2**16
-    assert peak < clock_loop_bound(m, n, k, rows, cols)
+    if series <= systolic.ROW_LOOP_ELEMENTS:
+        assert peak < clock_loop_bound(m, n, k, rows, cols)
+
+
+def refuse_loop(*args):
+    raise AssertionError("the call took the other loop order")
+
+
+@pytest.mark.parametrize(
+    "m, n, k, rows, cols, other",
+    [
+        # Per-clock state R * nt * kt * C = 256, one n-tile's series 65,648:
+        # the row loop.
+        (4096, 16, 16, 4, 4, "_clock_loop"),
+        # State 65,536, series 21,440: the row loop.
+        (256, 256, 256, 64, 16, "_clock_loop"),
+        # State 65,536, series 73,472: the clock loop.
+        (256, 256, 256, 16, 16, "_row_loop"),
+    ],
+)
+def test_loop_order_follows_the_series_or_the_state(m, n, k, rows, cols, other, monkeypatch):
+    # A call takes the row loop when one n-tile's series or the per-clock
+    # state fits in ROW_LOOP_ELEMENTS, and the clock loop otherwise.
+    monkeypatch.setattr(systolic, other, refuse_loop)
+    shape, cfg = GemmShape(m, n, k), SystolicConfig(rows, cols)
+    a, b = make_gemm(shape, 5)
+    res = simulate_systolic_gemm(a, b, cfg)
+    assert res.result == reference_matmul(a, b)
+    assert res.cycles == systolic_cycle_formula(shape, cfg)

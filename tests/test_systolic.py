@@ -200,6 +200,10 @@ def test_call_peaks_at_its_state_and_result(rows, cols, monkeypatch):
     assert peak < clock_loop_bound(128, 128, 128, rows, cols)
 
 
+def refuse_loop(*args):
+    raise AssertionError("the call took the other loop order")
+
+
 @pytest.mark.parametrize(
     "m, n, k, rows, cols",
     [(128, 128, 128, 16, 16), (128, 128, 128, 64, 64), (4096, 16, 16, 4, 4)],
@@ -220,10 +224,6 @@ def test_row_loop_peaks_at_its_state_and_result(m, n, k, rows, cols, monkeypatch
     assert peak < 4 * state + 8 * m * n + 2**16
     if series <= systolic.ROW_LOOP_ELEMENTS:
         assert peak < clock_loop_bound(m, n, k, rows, cols)
-
-
-def refuse_loop(*args):
-    raise AssertionError("the call took the other loop order")
 
 
 @pytest.mark.parametrize(

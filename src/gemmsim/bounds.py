@@ -8,27 +8,22 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .workload import as_count
+from .workload import Record, as_count
 
 
-@dataclass(frozen=True)
-class MeshBoundInput:
+class MeshBoundInput(Record):
     """Problem accounting for the mesh running-time lower bound.
 
     inputs/outputs/computations count the I/O elements and the elementary
     operations of the problem; dimension is the mesh dimensionality.
     """
 
-    inputs: int
-    outputs: int
-    computations: int
-    dimension: int
+    _fields = ("inputs", "outputs", "computations", "dimension")
 
-    def __post_init__(self) -> None:
-        for name in ("inputs", "outputs", "computations", "dimension"):
-            object.__setattr__(self, name, as_count(getattr(self, name), name, 1))
+    def __init__(self, inputs: int, outputs: int, computations: int, dimension: int) -> None:
+        values = zip(self._fields, (inputs, outputs, computations, dimension))
+        self._set(*(as_count(value, name, 1) for name, value in values))
         if self.dimension > 3:
             raise ValueError(f"mesh dimension must be 1, 2 or 3, got {self.dimension}")
 
@@ -42,23 +37,24 @@ class CollectiveKind(enum.Enum):
     GATHER = "gather"
 
 
-@dataclass(frozen=True)
-class CommModel:
+class CommModel(Record):
     """Per-message latency (alpha, seconds) and per-byte time (beta, s/byte)."""
 
-    alpha: float
-    beta: float
+    _fields = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
+    def __init__(self, alpha: float, beta: float) -> None:
+        self._set(alpha, beta)
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise ValueError(f"alpha and beta must be finite and >= 0, got {self!r}")
 
 
-@dataclass(frozen=True)
-class DarkSiliconPoint:
-    core_multiplier: float
-    powered_fraction: float
-    effective_multiplier: float
+class DarkSiliconPoint(Record):
+    _fields = ("core_multiplier", "powered_fraction", "effective_multiplier")
+
+    def __init__(
+        self, core_multiplier: float, powered_fraction: float, effective_multiplier: float
+    ) -> None:
+        self._set(core_multiplier, powered_fraction, effective_multiplier)
 
 
 def fisher_bound(problem: MeshBoundInput) -> float:

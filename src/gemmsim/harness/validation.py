@@ -10,12 +10,11 @@ injected by monkeypatching a simulator function is caught as a failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .. import bounds as bounds_mod
 from .. import meshflow, streamer, summa, systolic
 from ..bounds import CommModel, dark_silicon, fisher_bound, inner_product_bound_input, tree_time
-from ..workload import GemmShape, as_count, make_gemm, reference_matmul
+from ..workload import GemmShape, Record, as_count, make_gemm, reference_matmul
 
 STREAMER_TRANSFER_KINDS = {
     "mem_to_ce",
@@ -29,11 +28,11 @@ STREAMER_TRANSFER_KINDS = {
 }
 
 
-@dataclass
 class PropertyResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.checks = 0
+        self.failures: list[str] = []
 
     def check(self, ok: bool, detail: str) -> None:
         self.checks += 1
@@ -45,9 +44,9 @@ class PropertyResult:
         return not self.failures
 
 
-@dataclass
 class ValidationReport:
-    properties: list[PropertyResult]
+    def __init__(self, properties: list[PropertyResult]) -> None:
+        self.properties = properties
 
     @property
     def ok(self) -> bool:
@@ -66,17 +65,20 @@ class ValidationReport:
         return out
 
 
-@dataclass(frozen=True)
-class CorpusInstance:
-    shape: GemmShape
-    seed: int
-    array_rows: int
-    array_cols: int
-    pes: int
-    fanout: int
-    level_latency: int
-    port_width: int
-    block_width: int
+class CorpusInstance(Record):
+    _fields = (
+        "shape", "seed", "array_rows", "array_cols", "pes", "fanout", "level_latency",
+        "port_width", "block_width",
+    )
+
+    def __init__(
+        self, shape: GemmShape, seed: int, array_rows: int, array_cols: int, pes: int,
+        fanout: int, level_latency: int, port_width: int, block_width: int,
+    ) -> None:
+        self._set(
+            shape, seed, array_rows, array_cols, pes, fanout, level_latency, port_width,
+            block_width,
+        )
 
 
 def corpus_instances(seed: int, size: int) -> list[CorpusInstance]:

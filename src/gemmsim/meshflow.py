@@ -14,26 +14,23 @@ with an empty column phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import fisher_bound, inner_product_bound_input
 from .results import SimResult, build_result
-from .workload import Matrix, as_count, resolve_vector_operands
+from .workload import Matrix, Record, as_count, resolve_vector_operands
 
 
-@dataclass(frozen=True)
-class MeshConfig:
+class MeshConfig(Record):
     """A 1-D chain or 2-D grid of PEs with a fixed per-hop transfer latency."""
 
-    extents: tuple[int, ...]
-    hop_latency: int = 1
+    _fields = ("extents", "hop_latency")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "extents", tuple(as_count(e, "extent", 1) for e in self.extents))
-        object.__setattr__(self, "hop_latency", as_count(self.hop_latency, "hop latency", 1))
+    def __init__(self, extents: tuple[int, ...], hop_latency: int = 1) -> None:
+        extents = tuple(as_count(e, "extent", 1) for e in extents)
+        self._set(extents, as_count(hop_latency, "hop latency", 1))
         if self.dimension not in (1, 2):
             raise ValueError(f"mesh dimension must be 1 or 2, got {self.dimension}")
 

@@ -11,7 +11,6 @@ drain are paid once per GEMM, not once per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +20,7 @@ from .results import SimResult, build_result
 from .workload import (
     PRODUCT_MAX,
     Matrix,
+    Record,
     as_count,
     outer_product_schedule,  # unused: kept as perfbench's patch-site pin (ROADMAP item 1 part A)
     require_operand_range,
@@ -37,8 +37,7 @@ FLOAT32_EXACT_K = 2**24 // PRODUCT_MAX
 FLOAT64_EXACT_K = 2**53 // PRODUCT_MAX
 
 
-@dataclass(frozen=True)
-class CETree:
+class CETree(Record):
     """Fan-out hierarchy over num_pes MAC units.
 
     level_latency is the clocks one CE level adds in either direction (long
@@ -47,19 +46,15 @@ class CETree:
     direction.
     """
 
-    num_pes: int
-    fanout: int
-    level_latency: int
-    root_port_width: int
+    _fields = ("num_pes", "fanout", "level_latency", "root_port_width")
 
-    def __post_init__(self) -> None:
-        for name, label, minimum in (
-            ("num_pes", "PE count", 1),
-            ("fanout", "fanout", 2),
-            ("level_latency", "level latency", 1),
-            ("root_port_width", "root port width", 1),
-        ):
-            object.__setattr__(self, name, as_count(getattr(self, name), label, minimum))
+    def __init__(self, num_pes: int, fanout: int, level_latency: int, root_port_width: int) -> None:
+        self._set(
+            as_count(num_pes, "PE count", 1),
+            as_count(fanout, "fanout", 2),
+            as_count(level_latency, "level latency", 1),
+            as_count(root_port_width, "root port width", 1),
+        )
 
     @property
     def levels(self) -> int:

@@ -11,26 +11,26 @@ couples it to the grid shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bounds import CollectiveKind, CommModel, collective_cost
-from .workload import GemmShape, as_count
+from .workload import GemmShape, Record, as_count
 
 
-@dataclass(frozen=True)
-class ClusterModel:
+class ClusterModel(Record):
     """Process grid, link cost model, and per-node compute rate."""
 
-    p_rows: int
-    p_cols: int
-    comm: CommModel
-    node_mac_rate: float
-    element_bytes: int = 4
+    _fields = ("p_rows", "p_cols", "comm", "node_mac_rate", "element_bytes")
 
-    def __post_init__(self) -> None:
-        labels = {"p_rows": "grid rows", "p_cols": "grid cols", "element_bytes": "element bytes"}
-        for name, label in labels.items():
-            object.__setattr__(self, name, as_count(getattr(self, name), label, 1))
+    def __init__(
+        self, p_rows: int, p_cols: int, comm: CommModel, node_mac_rate: float, element_bytes: int = 4
+    ) -> None:
+        self._set(
+            as_count(p_rows, "grid rows", 1),
+            as_count(p_cols, "grid cols", 1),
+            comm,
+            node_mac_rate,
+            as_count(element_bytes, "element bytes", 1),
+        )
         if not 0 < self.node_mac_rate < math.inf:
             raise ValueError(f"node MAC rate must be finite and > 0, got {self.node_mac_rate}")
 
@@ -39,17 +39,27 @@ class ClusterModel:
         return self.p_rows * self.p_cols
 
 
-@dataclass(frozen=True)
-class SummaResult:
-    total_time: float
-    comm_time: float
-    comp_time: float
-    steps: int
-    row_broadcasts: int
-    col_broadcasts: int
-    comm_latency_time: float  # alpha-only part; equals comm_time when beta = 0
-    comm_bandwidth_time: float  # beta-only part; equals comm_time when alpha = 0
-    mac_ops: int
+class SummaResult(Record):
+    """Costs in seconds and counts of one SUMMA run.
+
+    comm_latency_time is the alpha-only part of comm_time (equal to it when
+    beta = 0), comm_bandwidth_time the beta-only part (equal when alpha = 0).
+    """
+
+    _fields = (
+        "total_time", "comm_time", "comp_time", "steps", "row_broadcasts", "col_broadcasts",
+        "comm_latency_time", "comm_bandwidth_time", "mac_ops",
+    )
+
+    def __init__(
+        self, total_time: float, comm_time: float, comp_time: float, steps: int,
+        row_broadcasts: int, col_broadcasts: int, comm_latency_time: float,
+        comm_bandwidth_time: float, mac_ops: int,
+    ) -> None:
+        self._set(
+            total_time, comm_time, comp_time, steps, row_broadcasts, col_broadcasts,
+            comm_latency_time, comm_bandwidth_time, mac_ops,
+        )
 
 
 def simulate_summa(shape: GemmShape, block_width: int, cluster: ClusterModel) -> SummaResult:

@@ -26,13 +26,11 @@ activity trace counts busy PEs clock by clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .results import SimResult, build_result
-from .workload import PRODUCT_MAX, GemmShape, Matrix, as_count, require_operand_range
+from .workload import PRODUCT_MAX, GemmShape, Matrix, Record, as_count, require_operand_range
 
 # In-range products are at most 2^14 in magnitude, and every partial sum and
 # every k-tile sum of the bottom rows adds at most k of them, so int32 state
@@ -47,16 +45,13 @@ INT32_EXACT_K = 2**31 // PRODUCT_MAX
 ROW_LOOP_ELEMENTS = 2**15
 
 
-@dataclass(frozen=True)
-class SystolicConfig:
+class SystolicConfig(Record):
     """Array extents: rows along the inner dimension, cols along output columns."""
 
-    rows: int
-    cols: int
+    _fields = ("rows", "cols")
 
-    def __post_init__(self) -> None:
-        for name in ("rows", "cols"):
-            object.__setattr__(self, name, as_count(getattr(self, name), f"array {name}", 1))
+    def __init__(self, rows: int, cols: int) -> None:
+        self._set(as_count(rows, "array rows", 1), as_count(cols, "array cols", 1))
 
     @property
     def num_pes(self) -> int:

@@ -12,7 +12,7 @@ import operator
 import random
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,17 +43,59 @@ def as_count(value: object, name: str, minimum: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class GemmShape:
+class Record:
+    """Immutable value type: its fields, in order, give its equality, hash and repr.
+
+    A subclass names its fields in ``_fields``, and its ``__init__`` checks
+    each field and sets it once through ``object.__setattr__``, most through
+    :meth:`_set`.  Assigning or deleting an attribute afterwards raises
+    ``FrozenInstanceError``, as on a frozen dataclass.  A record equals only a
+    record of its own class with equal fields (a named tuple would also equal
+    a plain tuple).  Records are not dataclasses because a dataclass builds
+    each generated method with its own ``exec`` when its module is imported,
+    0.5-0.85 ms a class on every start; ``SimResult`` stays one because tests
+    build faulty results from it with ``dataclasses.replace``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GemmShape(Record):
     """Dimensions of C (m x n) = A (m x k) . B (k x n)."""
 
-    m: int
-    n: int
-    k: int
+    _fields = ("m", "n", "k")
 
-    def __post_init__(self) -> None:
-        for name in ("m", "n", "k"):
-            object.__setattr__(self, name, as_count(getattr(self, name), f"shape field {name}", 1))
+    def __init__(self, m: int, n: int, k: int) -> None:
+        self._set(
+            as_count(m, "shape field m", 1),
+            as_count(n, "shape field n", 1),
+            as_count(k, "shape field k", 1),
+        )
 
     @property
     def macs(self) -> int:
@@ -61,41 +103,39 @@ class GemmShape:
         return self.m * self.n * self.k
 
 
-@dataclass(frozen=True, eq=False)
-class Matrix:
+class Matrix(Record):
     """Immutable row-major matrix stored as one flat, read-only int64 array.
 
     The constructor copies any flat integer sequence or array into its own
-    buffer and rejects floats, bools and values that do not fit in int64.
+    buffer and rejects floats, bools and values that do not fit in int64;
+    copies and pickles rebuild through it, so their buffers are read-only too.
     Reads go through :meth:`to_numpy`.
     """
 
-    rows: int
-    cols: int
-    data: np.ndarray
+    _fields = ("rows", "cols", "data")
 
-    def __post_init__(self) -> None:
-        rows, cols = self.rows, self.cols
+    def __init__(self, rows: int, cols: int, data: np.ndarray | Sequence[int]) -> None:
         # Valid int shapes skip as_count: from_numpy runs this per conversion.
         if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
-            object.__setattr__(self, "rows", as_count(rows, "matrix rows", 1))
-            object.__setattr__(self, "cols", as_count(cols, "matrix cols", 1))
-        data = self.data
+            rows, cols = as_count(rows, "matrix rows", 1), as_count(cols, "matrix cols", 1)
         if not isinstance(data, np.ndarray):
             # numpy silently turns bools mixed with ints into ints.
             if not {bool, np.bool_}.isdisjoint(map(type, data)):
                 raise ValueError("matrix elements must be integers, got a bool")
             data = np.array(data)
-        if data.shape != (self.rows * self.cols,):
+        if data.shape != (rows * cols,):
             raise ValueError(
-                f"expected {self.rows * self.cols} elements for a "
-                f"{self.rows}x{self.cols} matrix, got shape {data.shape}"
+                f"expected {rows * cols} elements for a "
+                f"{rows}x{cols} matrix, got shape {data.shape}"
             )
         kind = data.dtype.kind
         if kind not in "iu" or (kind == "u" and np.any(data > np.iinfo(np.int64).max)):
             raise ValueError(f"matrix elements must be integers that fit in int64, got {data.dtype}")
         data = data.astype(np.int64)
         data.flags.writeable = False
+        # Set directly, not through _set: from_numpy runs this per conversion.
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
 
     def __eq__(self, other: object) -> bool:
@@ -105,6 +145,9 @@ class Matrix:
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.data.tobytes()))
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.rows, self.cols, self.data))
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray) -> "Matrix":

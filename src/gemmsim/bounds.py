@@ -23,7 +23,7 @@ class MeshBoundInput(Record):
 
     def __init__(self, inputs: int, outputs: int, computations: int, dimension: int) -> None:
         values = zip(self._fields, (inputs, outputs, computations, dimension))
-        self._set(*(as_count(value, name, 1) for name, value in values))
+        super().__init__(*(as_count(value, name, 1) for name, value in values))
         if self.dimension > 3:
             raise ValueError(f"mesh dimension must be 1, 2 or 3, got {self.dimension}")
 
@@ -43,18 +43,13 @@ class CommModel(Record):
     _fields = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float) -> None:
-        self._set(alpha, beta)
+        super().__init__(alpha, beta)
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise ValueError(f"alpha and beta must be finite and >= 0, got {self!r}")
 
 
 class DarkSiliconPoint(Record):
     _fields = ("core_multiplier", "powered_fraction", "effective_multiplier")
-
-    def __init__(
-        self, core_multiplier: float, powered_fraction: float, effective_multiplier: float
-    ) -> None:
-        self._set(core_multiplier, powered_fraction, effective_multiplier)
 
 
 def fisher_bound(problem: MeshBoundInput) -> float:

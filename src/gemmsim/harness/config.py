@@ -58,11 +58,10 @@ def _require(cfg: dict, key: str, where: str) -> Any:
 
 
 def _as_int(value: Any, key: str, minimum: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"key '{key}' must be >= {minimum}, got {value}")
-    return value
+    try:
+        return workload_mod.as_count(value, f"key '{key}'", minimum)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _as_number(value: Any, key: str, minimum: float | None = None) -> float:
@@ -303,8 +302,6 @@ def _params(spec: dict) -> str:
 def _phase_columns(res) -> dict[str, int]:
     """Map a simulator's phase breakdown onto the stable report columns."""
     out: dict[str, int] = {}
-    if not res.phases:
-        return out
     named = {"load": "load_cycles", "fill": "fill_cycles", "drain": "drain_cycles"}
     stream = 0
     for phase, cyc in res.phases.items():

@@ -71,15 +71,6 @@ class CorpusInstance(Record):
         "port_width", "block_width",
     )
 
-    def __init__(
-        self, shape: GemmShape, seed: int, array_rows: int, array_cols: int, pes: int,
-        fanout: int, level_latency: int, port_width: int, block_width: int,
-    ) -> None:
-        self._set(
-            shape, seed, array_rows, array_cols, pes, fanout, level_latency, port_width,
-            block_width,
-        )
-
 
 def corpus_instances(seed: int, size: int) -> list[CorpusInstance]:
     """Randomized desk-scale GEMM corpus; reproducible from the suite seed."""

@@ -29,8 +29,10 @@ class MeshConfig(Record):
     _fields = ("extents", "hop_latency")
 
     def __init__(self, extents: tuple[int, ...], hop_latency: int = 1) -> None:
+        if not np.iterable(extents):
+            raise ValueError(f"extents must be a sequence of integers, got {extents!r}")
         extents = tuple(as_count(e, "extent", 1) for e in extents)
-        self._set(extents, as_count(hop_latency, "hop latency", 1))
+        super().__init__(extents, as_count(hop_latency, "hop latency", 1))
         if self.dimension not in (1, 2):
             raise ValueError(f"mesh dimension must be 1 or 2, got {self.dimension}")
 

@@ -49,7 +49,7 @@ class CETree(Record):
     _fields = ("num_pes", "fanout", "level_latency", "root_port_width")
 
     def __init__(self, num_pes: int, fanout: int, level_latency: int, root_port_width: int) -> None:
-        self._set(
+        super().__init__(
             as_count(num_pes, "PE count", 1),
             as_count(fanout, "fanout", 2),
             as_count(level_latency, "level latency", 1),

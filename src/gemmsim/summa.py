@@ -24,7 +24,7 @@ class ClusterModel(Record):
     def __init__(
         self, p_rows: int, p_cols: int, comm: CommModel, node_mac_rate: float, element_bytes: int = 4
     ) -> None:
-        self._set(
+        super().__init__(
             as_count(p_rows, "grid rows", 1),
             as_count(p_cols, "grid cols", 1),
             comm,
@@ -50,16 +50,6 @@ class SummaResult(Record):
         "total_time", "comm_time", "comp_time", "steps", "row_broadcasts", "col_broadcasts",
         "comm_latency_time", "comm_bandwidth_time", "mac_ops",
     )
-
-    def __init__(
-        self, total_time: float, comm_time: float, comp_time: float, steps: int,
-        row_broadcasts: int, col_broadcasts: int, comm_latency_time: float,
-        comm_bandwidth_time: float, mac_ops: int,
-    ) -> None:
-        self._set(
-            total_time, comm_time, comp_time, steps, row_broadcasts, col_broadcasts,
-            comm_latency_time, comm_bandwidth_time, mac_ops,
-        )
 
 
 def simulate_summa(shape: GemmShape, block_width: int, cluster: ClusterModel) -> SummaResult:

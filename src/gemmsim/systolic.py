@@ -51,7 +51,7 @@ class SystolicConfig(Record):
     _fields = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int) -> None:
-        self._set(as_count(rows, "array rows", 1), as_count(cols, "array cols", 1))
+        super().__init__(as_count(rows, "array rows", 1), as_count(cols, "array cols", 1))
 
     @property
     def num_pes(self) -> int:

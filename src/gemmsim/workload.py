@@ -46,9 +46,11 @@ def as_count(value: object, name: str, minimum: int | None = None) -> int:
 class Record:
     """Immutable value type: its fields, in order, give its equality, hash and repr.
 
-    A subclass names its fields in ``_fields``, and its ``__init__`` checks
-    each field and sets it once through ``object.__setattr__``, most through
-    :meth:`_set`.  Assigning or deleting an attribute afterwards raises
+    A subclass names its fields in ``_fields``.  ``__init__`` binds its
+    arguments to them, by position or name, as a call with those parameters
+    would, and sets each once through ``object.__setattr__``; a subclass that
+    checks its fields ends its own ``__init__`` in ``super().__init__``.
+    Assigning or deleting an attribute afterwards raises
     ``FrozenInstanceError``, as on a frozen dataclass.  A record equals only a
     record of its own class with equal fields (a named tuple would also equal
     a plain tuple).  Records are not dataclasses because a dataclass builds
@@ -59,9 +61,16 @@ class Record:
 
     _fields: tuple[str, ...] = ()
 
-    def _set(self, *values: object) -> None:
-        for name, value in zip(self._fields, values, strict=True):
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields, rest = self._fields, self._fields[len(args) :]
+        # Positional calls skip the names; the others must name exactly the rest.
+        if len(args) + len(kwargs) != len(fields) or kwargs and kwargs.keys() != set(rest):
+            got = f"{len(args)} by position and {[*kwargs]} by name"
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}, got {got}")
+        for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
+        for name in rest:
+            object.__setattr__(self, name, kwargs[name])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -91,7 +100,7 @@ class GemmShape(Record):
     _fields = ("m", "n", "k")
 
     def __init__(self, m: int, n: int, k: int) -> None:
-        self._set(
+        super().__init__(
             as_count(m, "shape field m", 1),
             as_count(n, "shape field n", 1),
             as_count(k, "shape field k", 1),
@@ -133,7 +142,7 @@ class Matrix(Record):
             raise ValueError(f"matrix elements must be integers that fit in int64, got {data.dtype}")
         data = data.astype(np.int64)
         data.flags.writeable = False
-        # Set directly, not through _set: from_numpy runs this per conversion.
+        # Set directly, skipping Record.__init__: from_numpy runs this per conversion.
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)

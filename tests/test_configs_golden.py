@@ -104,8 +104,13 @@ def config(kind, **changes):
 CONFIG_ERROR = "gemmsim: config error: "
 KIND_LIST = "('simulate', 'sweep', 'compare', 'bounds', 'darksilicon', 'validate')"
 
-# (id, command, payload, exit code, stderr)
+# (id, command, payload, exit code, stderr); a str payload is the file's text.
 BAD_CONFIGS = [
+    ("invalid-json", "run", "not json", 2,
+     "config bad.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("root-not-object", "run", [config("simulate")], 2, "config root must be a JSON object"),
+    ("schema-version-2", "run", dict(config("simulate"), schema_version=2), 2,
+     "unsupported schema_version 2; this build expects 1"),
     ("kind-list", "run", dict(config("simulate"), kind=["simulate"]), 2,
      f"kind must be one of {KIND_LIST}, got ['simulate']"),
     ("kind-object", "run", dict(config("simulate"), kind={"simulate": 1}), 2,
@@ -164,6 +169,20 @@ BAD_CONFIGS = [
      "key 'dir' cannot be encoded as a file name"),
     ("surrogate-in-basename", "run", config("simulate", output={"basename": "a\ud800"}), 2,
      "key 'basename' cannot be encoded as a file name"),
+    ("output-not-object", "run", config("simulate", output=["out"]), 2,
+     "key 'output' must be an object"),
+    ("dir-not-string", "run", config("simulate", output={"dir": 3}), 2,
+     "key 'dir' must be a string"),
+    ("empty-basename", "run", config("simulate", output={"basename": ""}), 2,
+     "key 'basename' must be a non-empty string"),
+    ("bounds-entry-not-object", "run", config("bounds", entries=[[32, 1, 16, 1]]), 2,
+     "each bounds entry must be an object"),
+    ("alpha-not-number", "run", config("simulate", arch=dict(SYSTOLIC, alpha="x")), 2,
+     "key 'alpha' must be a number, got 'x'"),
+    ("alpha-negative", "run", config("simulate", arch=dict(SYSTOLIC, alpha=-1)), 2,
+     "key 'alpha' must be >= 0.0, got -1"),
+    ("node-mac-rate-zero", "run", config("simulate", arch=dict(SYSTOLIC, node_mac_rate=0)), 2,
+     "key 'node_mac_rate' must be positive"),
     ("over-long-dir", "run", config("simulate", output={"dir": "d" * 300}), 2,
      f"key 'dir': cannot create output directory {'d' * 300!r}: File name too long"),
     ("infeasible-streamer", "run",
@@ -179,7 +198,7 @@ BAD_CONFIGS = [
 )
 def test_bad_config_exit_code_and_stderr(workdir, capsys, command, payload, code, message):
     path = workdir / "bad.json"
-    path.write_text(json.dumps(payload))
-    assert cli.main([command, str(path)]) == code
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    assert cli.main([command, path.name]) == code
     assert capsys.readouterr().err == f"{CONFIG_ERROR}{message}\n"
     assert sorted(workdir.iterdir()) == [path]

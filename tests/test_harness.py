@@ -14,7 +14,7 @@ from gemmsim.harness import cli, config
 from gemmsim.harness.config import ConfigError, resolve_config
 from gemmsim.harness.experiments import REPORT_COLUMNS, run_experiment
 from gemmsim.harness.report import write_report
-from gemmsim.harness.validation import run_validation
+from gemmsim.harness.validation import PropertyResult, ValidationReport, run_validation
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -463,6 +463,22 @@ def test_report_writer_maps_directory_failure_to_config_error(tmp_path):
     assert sorted(tmp_path.iterdir()) == [out]
 
 
+def test_report_directory_failure_exits_2_naming_dir(tmp_path, capsys, monkeypatch):
+    # Root ignores file modes, so the permission failure is injected.
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    cfg = write_config(tmp_path, simulate_config(tmp_path / "out"))
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    assert cli.main(["run", str(cfg)]) == 2
+    out = tmp_path / "out"
+    assert capsys.readouterr().err == (
+        f"gemmsim: config error: key 'dir': cannot create output directory '{out}': "
+        f"[Errno 13] Permission denied: '{out}'\n"
+    )
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 # (workload, a feasible arch, an infeasible one, the sweep axis between them,
 #  the simulator, the complaint)
 INFEASIBLE = {
@@ -629,6 +645,35 @@ def test_validate_config_kind(tmp_path):
     rows = read_rows(tmp_path / "out" / "report.csv")
     assert any(r["architecture"] == "simulator_exactness" for r in rows)
     assert all(r["failures"] == "0" for r in rows)
+
+
+def test_validate_cli_rejects_an_empty_corpus(capsys):
+    assert cli.main(["validate", "--corpus-size", "0"]) == 2
+    assert capsys.readouterr().err == "gemmsim: config error: --corpus-size must be >= 1\n"
+
+
+def test_validate_config_with_a_fault_exits_1(tmp_path, capsys, monkeypatch):
+    simulator, corrupt, prop = FIELD_FAULTS["systolic-cycles"]
+    inject_fault(monkeypatch, simulator, corrupt)
+    payload = {"schema_version": 1, "kind": "validate", "corpus_size": 4,
+               "output": {"dir": str(tmp_path / "out")}}
+    assert cli.main(["run", str(write_config(tmp_path, payload))]) == 1
+    assert capsys.readouterr().err.endswith(" (12 rows)\ngemmsim: validation: FAIL\n")
+    failed = {r["architecture"]: r["failures"] for r in read_rows(tmp_path / "out" / "report.csv")}
+    assert failed[prop] == "4"
+
+
+def test_validation_report_lists_five_failures_of_a_property():
+    prop = PropertyResult("exactness")
+    for i in range(8):
+        prop.check(i == 0, f"case {i}")
+    assert ValidationReport([prop, PropertyResult("empty")]).lines() == [
+        "exactness: 8 checks, 7 failures [FAIL]",
+        *(f"  - case {i}" for i in range(1, 6)),
+        "  ... and 2 more",
+        "empty: 0 checks, 0 failures [ok]",
+        "validation: FAIL",
+    ]
 
 
 def test_version_command(capsys):

@@ -1,6 +1,7 @@
 """Store-and-forward mesh reductions and their bound-respect behavior."""
 
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -85,9 +86,31 @@ def test_mesh_parameters_must_be_integers(make, name):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: MeshConfig(5), "extents must be a sequence of integers, got 5"),
+        (lambda: MeshConfig(None), "extents must be a sequence of integers, got None"),
+        (lambda: MeshConfig(np.int64(4)),
+         f"extents must be a sequence of integers, got {np.int64(4)!r}"),
+        (lambda: MeshConfig((2, 2, 2)), "mesh dimension must be 1 or 2, got 3"),
+        (lambda: simulate_chain_reduction(4, MeshConfig.grid(2, 2)),
+         "chain reduction needs a 1-D mesh config"),
+        (lambda: simulate_grid_reduction(4, MeshConfig.chain(4)),
+         "grid reduction needs a 2-D mesh config"),
+        (lambda: empirical_bound_ratio(16, 3), "mesh dimension must be 1 or 2, got 3"),
+    ],
+    ids=["int-extents", "none-extents", "numpy-scalar-extents", "3-d", "chain-given-grid",
+         "grid-given-chain", "3-d-bound-ratio"],
+)
+def test_mesh_shape_errors_name_the_parameter(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_mesh_accepts_numpy_integers_as_python_ints():
     cfg = MeshConfig.grid(np.uint8(2), np.uint8(3), np.int16(2))
-    assert cfg == MeshConfig.grid(2, 3, 2)
+    assert cfg == MeshConfig.grid(2, 3, 2) == MeshConfig(np.array([2, 3]), 2)
     assert all(type(v) is int for v in (*cfg.extents, cfg.hop_latency))
     # uint8 extents used to overflow in the occupancy arithmetic.
     assert simulate_grid_reduction(5, cfg) == simulate_grid_reduction(5, MeshConfig.grid(2, 3, 2))
@@ -123,6 +146,13 @@ def test_explicit_operands_must_be_integers(simulate, operands):
     """Floats, bools and huge ints are rejected, never truncated or coerced."""
     with pytest.raises(ValueError, match="integers"):
         simulate(2, operands=operands)
+
+
+@pytest.mark.parametrize("simulate", INNER_PRODUCTS)
+@pytest.mark.parametrize("operands", [((1, 2), (3, 4, 5)), ((1, 2, 3, 4), (5, 6, 7))])
+def test_explicit_operands_must_have_length_n(simulate, operands):
+    with pytest.raises(ValueError, match="^operand vectors must have length 3$"):
+        simulate(3, operands=operands)
 
 
 @pytest.mark.parametrize("simulate", INNER_PRODUCTS)

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -13,13 +14,16 @@ import pytest
 
 import gemmsim
 from gemmsim import (
+    DarkSiliconPoint,
     GemmShape,
     Matrix,
+    build_ce_tree,
     make_gemm,
     make_vectors,
     outer_product_schedule,
     reference_matmul,
     simulate_chain_reduction,
+    simulate_cs_gemm,
     simulate_grid_reduction,
     simulate_tree_inner_product,
 )
@@ -57,6 +61,31 @@ def test_shape_validation():
     assert shape == GemmShape(2, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, got",
+    [
+        ((4.0, 0.5), {}, "2 by position and [] by name"),
+        ((4.0,), {"effective_multiplier": 2.0},
+         "1 by position and ['effective_multiplier'] by name"),
+        ((4.0, 0.5, 2.0, 1.0), {}, "4 by position and [] by name"),
+        ((4.0, 0.5), {"core_multiplier": 4.0}, "2 by position and ['core_multiplier'] by name"),
+        ((4.0, 0.5), {"cores": 4}, "2 by position and ['cores'] by name"),
+        ((4.0, 0.5, 2.0), {"cores": 4}, "3 by position and ['cores'] by name"),
+    ],
+    ids=["missing", "missing-by-name", "too-many", "doubled", "unknown", "unknown-extra"],
+)
+def test_record_binds_fields_like_a_call(args, kwargs, got):
+    message = (
+        "DarkSiliconPoint() takes the fields ('core_multiplier', 'powered_fraction', "
+        f"'effective_multiplier'), got {got}"
+    )
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        DarkSiliconPoint(*args, **kwargs)
+    by_name = {"effective_multiplier": 2.0, "powered_fraction": 0.5}
+    assert DarkSiliconPoint(4.0, **by_name) == DarkSiliconPoint(4.0, 0.5, 2.0)
+    assert len(by_name) == 2  # binding never consumes the caller's dict
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         Matrix(2, 2, (1, 2, 3))
@@ -64,6 +93,8 @@ def test_matrix_validation():
         Matrix(0, 1, ())
     with pytest.raises(ValueError):
         Matrix(1, 2, (1.5, 2))
+    with pytest.raises(ValueError, match="^expected a 2-D array$"):
+        Matrix.from_numpy(np.arange(4))
 
 
 def test_matrix_accessors():
@@ -432,6 +463,17 @@ def test_reference_matmul_known_product():
 def test_reference_matmul_dimension_mismatch():
     with pytest.raises(ValueError):
         reference_matmul(zeros(2, 3), zeros(2, 2))
+
+
+@pytest.mark.parametrize(
+    "product",
+    [lambda a, b: outer_product_schedule(a, b, 1),
+     lambda a, b: simulate_cs_gemm(a, b, build_ce_tree(4), 1)],
+    ids=["schedule", "streamer"],
+)
+def test_products_reject_mismatched_dimensions(product):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2x3 \. 2x2$"):
+        product(zeros(2, 3), zeros(2, 2))
 
 
 def test_reference_matmul_against_numpy():

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .workload import Record, as_count
+from .workload import Record, as_count, as_real
 
 
 class MeshBoundInput(Record):
@@ -43,7 +43,7 @@ class CommModel(Record):
     _fields = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float) -> None:
-        super().__init__(alpha, beta)
+        super().__init__(as_real(alpha, "alpha"), as_real(beta, "beta"))
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise ValueError(f"alpha and beta must be finite and >= 0, got {self!r}")
 

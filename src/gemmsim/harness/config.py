@@ -367,9 +367,13 @@ def _check_feasible(points: list[tuple[dict, dict]]) -> None:
 
 def _bounds_rows(resolved: dict) -> list[dict[str, Any]]:
     rows = []
-    for entry in resolved["entries"]:
+    for index, entry in enumerate(resolved["entries"]):
         row = _base_row(resolved["kind"], "fisher_bound", _params(entry), "")
-        row["bound_value"] = bounds.fisher_bound(bounds.MeshBoundInput(**entry))
+        try:
+            row["bound_value"] = bounds.fisher_bound(bounds.MeshBoundInput(**entry))
+        except OverflowError as exc:  # if any value exceeds a float, the largest does
+            key = max(entry, key=entry.get)
+            raise OverflowError(f"bounds entry {index}: key '{key}' is too large: {exc}") from None
         rows.append(row)
     return rows
 

@@ -161,16 +161,10 @@ def check_bound_respect() -> PropertyResult:
 
 def check_dark_silicon() -> PropertyResult:
     p = PropertyResult("dark_silicon_reproduction")
-    g2 = dark_silicon(2)
-    p.check(
-        (g2.core_multiplier, g2.powered_fraction, g2.effective_multiplier) == (4.0, 0.5, 2.0),
-        f"generation 2 gave {g2}",
-    )
-    g3 = dark_silicon(3)
-    p.check(
-        (g3.core_multiplier, g3.powered_fraction, g3.effective_multiplier) == (8.0, 0.25, 2.0),
-        f"generation 3 gave {g3}",
-    )
+    for g, want in ((2, (4.0, 0.5, 2.0)), (3, (8.0, 0.25, 2.0))):
+        point = dark_silicon(g)
+        fields = (point.core_multiplier, point.powered_fraction, point.effective_multiplier)
+        p.check(fields == want, f"generation {g} gave {point}")
     for g in range(1, 7):
         p.check(
             dark_silicon(g).effective_multiplier == 2.0,

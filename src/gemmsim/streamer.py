@@ -21,6 +21,7 @@ from .workload import (
     PRODUCT_MAX,
     Matrix,
     Record,
+    _adopt,
     as_count,
     outer_product_schedule,  # unused: kept as perfbench's patch-site pin (ROADMAP item 1 part A)
     require_operand_range,
@@ -173,7 +174,7 @@ def simulate_tree_inner_product(
     phases = {"multiply": 1, "reduce": levels * level_latency}
     return build_result(
         cycles,
-        Matrix(1, 1, (int(np.dot(a, b)),)),
+        _adopt(np.array([[np.dot(a, b)]])),
         n,
         n,
         phases=phases,
@@ -233,7 +234,6 @@ def simulate_cs_gemm(
 
     dtype = np.float32 if k < FLOAT32_EXACT_K else np.float64 if k < FLOAT64_EXACT_K else np.int64
     c = a.to_numpy().astype(dtype, copy=False) @ b.to_numpy().astype(dtype, copy=False)
-    c = c.astype(np.int64, copy=False)
     stream_cycles = q * span(w) + span(r)
 
     fill = tree.levels * tree.level_latency  # one traversal of the hierarchy
@@ -255,7 +255,7 @@ def simulate_cs_gemm(
     phases = {"fill": fill, "stream": stream_cycles, "drain": drain}
     return build_result(
         cycles,
-        Matrix.from_numpy(c),
+        _adopt(c.astype(np.int64, copy=False)),
         mac_ops,
         tree.num_pes,
         steady_cycles=stream_cycles,

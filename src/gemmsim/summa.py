@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .bounds import CollectiveKind, CommModel, collective_cost
-from .workload import GemmShape, Record, as_count
+from .workload import GemmShape, Record, as_count, as_real
 
 
 class ClusterModel(Record):
@@ -24,11 +24,13 @@ class ClusterModel(Record):
     def __init__(
         self, p_rows: int, p_cols: int, comm: CommModel, node_mac_rate: float, element_bytes: int = 4
     ) -> None:
+        if not isinstance(comm, CommModel):
+            raise ValueError(f"comm must be a CommModel, got {comm!r}")
         super().__init__(
             as_count(p_rows, "grid rows", 1),
             as_count(p_cols, "grid cols", 1),
             comm,
-            node_mac_rate,
+            as_real(node_mac_rate, "node MAC rate"),
             as_count(element_bytes, "element bytes", 1),
         )
         if not 0 < self.node_mac_rate < math.inf:

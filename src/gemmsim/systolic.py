@@ -30,7 +30,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .results import SimResult, build_result
-from .workload import PRODUCT_MAX, GemmShape, Matrix, Record, as_count, require_operand_range
+from .workload import (
+    PRODUCT_MAX, GemmShape, Matrix, Record, _adopt, as_count, require_operand_range
+)
 
 # In-range products are at most 2^14 in magnitude, and every partial sum and
 # every k-tile sum of the bottom rows adds at most k of them, so int32 state
@@ -203,6 +205,12 @@ def simulate_systolic_gemm(
     # at most m + R + C - 3, bottom's last row.
     s0, s1, s2 = bottom.strides
     c_acc = as_strided(bottom[r_ext - 1 :], (m, nt, c_ext), (s0, s1, s0 + s2), writeable=False)
+    # C is copied once out of bottom: the full n-tiles, through a reshape
+    # that only splits C's columns and so is a view, then the ragged last one.
+    c = np.empty((m, n), dtype=np.int64)
+    full = n // c_ext
+    c[:, : full * c_ext].reshape(m, full, c_ext)[...] = c_acc[:, :full]
+    c[:, full * c_ext :] = c_acc[:, -1, : n - full * c_ext]
 
     trace = None
     if with_trace:
@@ -223,7 +231,7 @@ def simulate_systolic_gemm(
     passes = kt * nt
     return build_result(
         passes * (r_ext + stream_span),
-        Matrix.from_numpy(c_acc.reshape(m, nt * c_ext)[:, :n]),
+        _adopt(c),
         m * n * k,
         cfg.num_pes,
         phases={"load": passes * r_ext, "stream": passes * stream_span},

@@ -8,6 +8,7 @@ sum is an unbounded Python int; numpy only reads its operands and result.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import random
 import sys
@@ -40,6 +41,14 @@ def as_count(value: object, name: str, minimum: int | None = None) -> int:
         value = int(value)
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def as_real(value: object, name: str) -> object:
+    """The type rule for a real parameter of an analytic model: a Python or
+    numpy integer or float, never a bool, returned as it is."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
 
 
@@ -118,15 +127,14 @@ class Matrix(Record):
     The constructor copies any flat integer sequence or array into its own
     buffer and rejects floats, bools and values that do not fit in int64;
     copies and pickles rebuild through it, so their buffers are read-only too.
-    Reads go through :meth:`to_numpy`.
+    Operands and results that gemmsim builds itself adopt their arrays
+    without a copy (``_adopt``).  Reads go through :meth:`to_numpy`.
     """
 
     _fields = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: np.ndarray | Sequence[int]) -> None:
-        # Valid int shapes skip as_count: from_numpy runs this per conversion.
-        if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
-            rows, cols = as_count(rows, "matrix rows", 1), as_count(cols, "matrix cols", 1)
+        rows, cols = as_count(rows, "matrix rows", 1), as_count(cols, "matrix cols", 1)
         if not isinstance(data, np.ndarray):
             # numpy silently turns bools mixed with ints into ints.
             if not {bool, np.bool_}.isdisjoint(map(type, data)):
@@ -142,10 +150,8 @@ class Matrix(Record):
             raise ValueError(f"matrix elements must be integers that fit in int64, got {data.dtype}")
         data = data.astype(np.int64)
         data.flags.writeable = False
-        # Set directly, skipping Record.__init__: from_numpy runs this per conversion.
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        # Filled directly, as in _adopt: Record.__init__'s binding costs ~1 us a matrix.
+        self.__dict__.update(rows=rows, cols=cols, data=data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
@@ -170,6 +176,18 @@ class Matrix(Record):
         numpy bounds each axis on its own, so no index can read across a row.
         """
         return self.data.reshape(self.rows, self.cols)
+
+
+def _adopt(arr: np.ndarray) -> Matrix:
+    """``Matrix.from_numpy(arr)`` without its checks and copy, for a 2-D int64
+    array that gemmsim has just built and holds nowhere else: the matrix
+    takes arr's buffer (a contiguous arr's ravel is a view), read-only."""
+    data = arr.ravel()
+    data.flags.writeable = False
+    mat = Matrix.__new__(Matrix)
+    # Filled directly: Record.__init__'s binding would double this call's cost.
+    mat.__dict__.update(rows=arr.shape[0], cols=arr.shape[1], data=data)
+    return mat
 
 
 def require_operand_range(*matrices: Matrix) -> None:
@@ -200,13 +218,12 @@ def resolve_vector_operands(
     return a.data, b.data
 
 
-# Draws of at least this many values take their words from numpy's MT19937
-# loaded with the generator's state.  Copying the state in and back out costs
-# ~0.14 ms a draw, which pays off past ~11,000 values (best of 15 on a 2-core
-# x86 host: 8,192 values take 0.25 ms from getrandbits and 0.28 ms from the
-# MT19937, 32,768 take 0.99 and 0.68 ms).  No workload draws between 8,192
-# and 32,768 values, and 2^15 keeps numpy.random (~6 MB of RSS) out of every
-# shipped config, whose largest draw is 8,192 values.
+# Draws of at least this many values take their words from numpy's legacy
+# MT19937 stream, which fills a round in C instead of through one big Python
+# int.  It is faster from ~2,000 values on (best of 15 on a 2-core x86 host:
+# 8,192 values take 0.32 ms from getrandbits and 0.15 ms from numpy, 32,768
+# take 1.34 and 0.62 ms), but 2^15 keeps numpy.random (~6 MB of RSS) out of
+# every shipped config, whose largest draw is 8,192 values.
 NUMPY_DRAW_MIN = 2**15
 
 # A round draws at most this many words, so its buffers keep one small size
@@ -215,105 +232,79 @@ NUMPY_DRAW_MIN = 2**15
 # then differs by ~10 MB from one seed to another.
 DRAW_ROUND_WORDS = 2**16
 
-# Once at most this many values are missing, a draw finishes word by word:
-# each numpy round costs several calls whatever its size, and a corpus-sized
-# draw would otherwise spend ~5 of its rounds on the last few dozen values.
-DRAW_TAIL = 32
-
 # A round's in-place shift and offset take int16 scalars: Python ints cost
 # each of the two calls a conversion, ~3% of a corpus-sized draw.
 _SHIFT, _OFFSET = np.int16(7), np.int16(OPERAND_MIN)
 
-# Index of a word's high 16 bits among the int16 views of a native uint64.
-_HIGH_HALF = 1 if sys.byteorder == "little" else 2
 
+def _draw_operands(seed: int, count: int) -> np.ndarray:
+    """``[random.Random(seed).randint(OPERAND_MIN, OPERAND_MAX) for _ in
+    range(count)]`` as a read-only int64 array.
 
-def _draw_operands(rng: random.Random, count: int) -> np.ndarray:
-    """``[rng.randint(OPERAND_MIN, OPERAND_MAX) for _ in range(count)]`` as int64.
-
-    ``randint`` draws ``rng.getrandbits(9)``, the top 9 bits of one 32-bit
+    ``randint`` draws ``getrandbits(9)``, the top 9 bits of one 32-bit
     Mersenne Twister word, until it is below 256: it rejects the words
     >= 2**31 and turns an accepted word into ``(word >> 23) + OPERAND_MIN``.
-    Whole words go through the numpy rounds of ``_accept_words`` until at
-    most ``DRAW_TAIL`` values are missing; ``randint``'s own loop, one
-    ``getrandbits(9)`` word at a time, draws the rest.
-
-    The rounds take their words from ``rng.getrandbits(32 * w)``, which
-    returns the next w words little-endian, or, for at least
-    ``NUMPY_DRAW_MIN`` values, from ``numpy.random.MT19937``, the same
-    generator, run from a copy of ``rng``'s state that is written back
-    before the tail.  Either way the values and ``rng``'s final state equal
-    ``randint``'s.
+    The draw owns its generator, so ``_accept_words`` may draw words past
+    the last one it keeps.  They come from ``getrandbits(32 * w)``, the next
+    w words little-endian, or, for at least ``NUMPY_DRAW_MIN`` values, from
+    the shared ``numpy.random.RandomState`` (whose legacy stream numpy keeps
+    frozen) reseeded under ``_MT19937_LOCK`` with ``random.seed``'s key:
+    |seed| in 32-bit words, low first.  The key goes in as a list, so it
+    seeds through ``init_by_array`` as ``random.seed`` does; a one-element
+    array would be squeezed and seed another stream through ``init_genrand``.
     """
     if count < NUMPY_DRAW_MIN:
-        ops, filled = _accept_words(
-            count,
-            lambda w: np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<u4"),
-            lambda words: words.view("<i2")[1::2],
+        bits = random.Random(seed).getrandbits
+        return _accept_words(
+            count, lambda w: np.frombuffer(bits(32 * w).to_bytes(4 * w, "little"), "<u4")
         )
-    else:
-        version, internal, gauss_next = rng.getstate()
-        key = np.array(internal[:-1], dtype=np.uint32)
-        with _MT19937_LOCK:
-            mt = _mt19937()
-            mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": internal[-1]}}
-            # random_raw widens each 32-bit word to a native uint64.
-            ops, filled = _accept_words(
-                count, mt.random_raw, lambda words: words.view(np.int16)[_HIGH_HALF::4]
-            )
-            state = mt.state["state"]
-        rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
-    tail = []
-    while len(tail) < count - filled:
-        value = rng.getrandbits(9)
-        if value < 256:
-            tail.append(value + OPERAND_MIN)
-    ops[filled:] = tail
-    return ops
+    key = [abs(seed) >> s & 0xFFFFFFFF for s in range(0, max(abs(seed).bit_length(), 1), 32)]
+    with _MT19937_LOCK:
+        rs = _random_state()
+        rs.seed(key)
+        # astype copies only on big-endian hosts.
+        return _accept_words(
+            count, lambda w: rs.randint(0, 2**32, w, np.uint32).astype("<u4", copy=False)
+        )
 
 
-# Held by a large draw from loading its state into the shared MT19937 until
-# it reads the state back, so draws from several threads never interleave.
+# Held by a large draw from reseeding the shared RandomState until its last
+# round, so draws from several threads never interleave.
 _MT19937_LOCK = threading.Lock()
 
 
 @functools.cache
-def _mt19937():
-    """The one MT19937 that every large draw loads its own state into, under
-    ``_MT19937_LOCK``."""
-    from numpy.random import MT19937  # ~6 MB of RSS, so only on first use
+def _random_state():
+    """The one RandomState that every large draw reseeds, under ``_MT19937_LOCK``."""
+    from numpy.random import RandomState  # ~6 MB of RSS, so only on first use
 
-    return MT19937(0)  # a fixed seed skips the OS entropy; the state is replaced
+    return RandomState(0)  # a fixed seed skips the OS entropy; each draw reseeds
 
 
-def _accept_words(
-    count: int,
-    words: Callable[[int], np.ndarray],
-    high_halves: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, int]:
-    """The numpy rounds of ``_draw_operands``: ``words(w)`` gives the
-    generator's next w words as unsigned integers, ``high_halves`` their
-    bits 16-31 as an int16 view.
+def _accept_words(count: int, words: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The rounds of ``_draw_operands``; ``words(w)`` gives the next w words as "<u4".
 
-    Each round draws as many words as values are still missing, at most
-    ``DRAW_ROUND_WORDS``, so no word is drawn past the last accepted one.  It
-    tests the contiguous words against 2**31, gathers the accepted words'
-    high halves, shifts and offsets them in place and stores them straight
-    into the int64 output.  Returns the output and how many values it holds;
-    the rounds stop once at most ``DRAW_TAIL`` are missing.
+    Each round draws 2 * missing + 4 * sqrt(2 * missing) words, at most
+    ``DRAW_ROUND_WORDS``.  About half are accepted, so a round falls short
+    only four standard deviations below the mean, and a draw that fits one
+    round rarely takes a second.  It tests the contiguous words against 2**31, gathers the high
+    halves of the first ``missing`` accepted words, shifts and offsets them
+    in place and stores them straight into the output.
     """
     ops = np.empty(count, dtype=np.int64)
     filled = 0
-    while count - filled > DRAW_TAIL:
-        drawn = words(min(count - filled, DRAW_ROUND_WORDS))
+    while filled < count:
+        missing = count - filled
+        drawn = words(min(2 * missing + math.isqrt(32 * missing), DRAW_ROUND_WORDS))
         # Indexing by nonzero() beats a boolean mask at every size here: the
         # mask's data-dependent branches mispredict on random words.
-        hi = high_halves(drawn)[(drawn < 2**31).nonzero()[0]]
+        hi = drawn.view("<i2")[1::2][(drawn < 2**31).nonzero()[0][:missing]]
         hi >>= _SHIFT
         hi += _OFFSET
         ops[filled : filled + len(hi)] = hi
         filled += len(hi)
-    return ops, filled
+    ops.flags.writeable = False
+    return ops
 
 
 def make_gemm(shape: GemmShape, seed: int) -> tuple[Matrix, Matrix]:
@@ -326,8 +317,8 @@ def make_gemm(shape: GemmShape, seed: int) -> tuple[Matrix, Matrix]:
     are bitwise identical.
     """
     split = shape.m * shape.k
-    ops = _draw_operands(random.Random(as_count(seed, "seed")), split + shape.k * shape.n)
-    return Matrix(shape.m, shape.k, ops[:split]), Matrix(shape.k, shape.n, ops[split:])
+    ops = _draw_operands(as_count(seed, "seed"), split + shape.k * shape.n)
+    return _adopt(ops[:split].reshape(shape.m, shape.k)), _adopt(ops[split:].reshape(shape.k, -1))
 
 
 def make_vectors(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,8 +327,7 @@ def make_vectors(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     Returns two read-only int64 views of one draw of 2n values: a, then b.
     """
     n = as_count(n, "vector length", 1)
-    ops = _draw_operands(random.Random(as_count(seed, "seed")), 2 * n)
-    ops.flags.writeable = False
+    ops = _draw_operands(as_count(seed, "seed"), 2 * n)
     return ops[:n], ops[n:]
 
 
@@ -387,7 +377,7 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
         # top bit leaves the output in two's complement.
         out += (sum(map(operator.mul, row, packed), offset) ^ offset).to_bytes(size, order)
     c = np.frombuffer(out, dtype).reshape(len(left), -1)
-    return Matrix.from_numpy(c.T if flip else c)
+    return _adopt(np.ascontiguousarray(c.T if flip else c, dtype=np.int64))
 
 
 def outer_product_schedule(a: Matrix, b: Matrix, block_width: int) -> list[tuple[Matrix, Matrix]]:

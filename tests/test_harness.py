@@ -710,6 +710,17 @@ def test_model_overflow_maps_to_exit_3(tmp_path, capsys, payload):
     assert not (tmp_path / "out").exists()
 
 
+def test_bounds_overflow_names_the_entry_and_key(tmp_path, capsys):
+    entries = [{"inputs": 8, "outputs": 1, "computations": 1, "dimension": 1},
+               {"inputs": 8, "outputs": 1, "computations": 10**400, "dimension": 2}]
+    payload = {"kind": "bounds", "entries": entries, "schema_version": 1,
+               "output": {"dir": str(tmp_path / "out")}}
+    assert cli.main(["run", str(write_config(tmp_path, payload))]) == 3
+    err = capsys.readouterr().err
+    assert "bounds entry 1: key 'computations' is too large: int too large to convert" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_string_arch_type_is_config_error(tmp_path, capsys):
     payload = simulate_config(tmp_path / "out")
     payload["arch"]["type"] = ["systolic"]

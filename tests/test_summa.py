@@ -2,8 +2,10 @@
 
 import math
 import random
+import re
 import time
 
+import numpy as np
 import pytest
 
 from gemmsim import (
@@ -146,6 +148,26 @@ def test_cluster_validation():
             ClusterModel(2, 2, CommModel(0, 0), rate)
     with pytest.raises(ValueError):
         ClusterModel(4, 4, CommModel(0, 0), 1e9, element_bytes=0)
+
+
+@pytest.mark.parametrize("value", ["x", None, True, np.True_], ids=["str", "none", "bool", "np-bool"])
+@pytest.mark.parametrize("name", ["alpha", "beta", "node MAC rate"])
+def test_real_parameters_must_be_numbers(name, value):
+    # A str or None used to raise TypeError from a comparison; a bool was accepted.
+    args = {"alpha": 0.0, "beta": 0.0, "node MAC rate": 1e9, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+        ClusterModel(2, 2, CommModel(args["alpha"], args["beta"]), args["node MAC rate"])
+
+
+@pytest.mark.parametrize("comm", [None, (0.0, 0.0), 1e-6])
+def test_cluster_comm_must_be_a_comm_model(comm):
+    with pytest.raises(ValueError, match=f"^comm must be a CommModel, got {re.escape(repr(comm))}$"):
+        ClusterModel(2, 2, comm, 1e9)
+
+
+def test_real_parameters_keep_numpy_and_int_values():
+    cluster = ClusterModel(2, 2, CommModel(np.float64(1e-6), 0), np.int64(10**9))
+    assert (cluster.comm.alpha, cluster.comm.beta, cluster.node_mac_rate) == (1e-6, 0, 10**9)
 
 
 def fsum_reference(shape, block_width, cluster):

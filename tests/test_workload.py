@@ -1,6 +1,8 @@
 """Workload types, the reference oracle, and the outer-product schedule."""
 
+import copy
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -17,6 +19,7 @@ from gemmsim import (
     DarkSiliconPoint,
     GemmShape,
     Matrix,
+    SystolicConfig,
     build_ce_tree,
     make_gemm,
     make_vectors,
@@ -25,16 +28,12 @@ from gemmsim import (
     simulate_chain_reduction,
     simulate_cs_gemm,
     simulate_grid_reduction,
+    simulate_systolic_gemm,
     simulate_tree_inner_product,
 )
+from gemmsim import workload
 from gemmsim.harness.validation import corpus_instances, run_validation
-from gemmsim.workload import (
-    DRAW_ROUND_WORDS,
-    DRAW_TAIL,
-    NUMPY_DRAW_MIN,
-    _draw_operands,
-    require_operand_range,
-)
+from gemmsim.workload import DRAW_ROUND_WORDS, NUMPY_DRAW_MIN, _draw_operands, require_operand_range
 
 
 def outer_product_sum(steps, m, n):
@@ -195,6 +194,39 @@ def test_matrix_never_aliases_its_input():
     assert v.to_numpy()[0, 1] == 6
 
 
+def built_matrices():
+    """Every matrix gemmsim builds for a caller, with the operands it must not share."""
+    a, b = make_gemm(GemmShape(5, 7, 6), 3)
+    tall_a, tall_b = make_gemm(GemmShape(7, 5, 6), 4)  # the oracle computes C^T
+    wide_a, wide_b = Matrix(1, 2, [2**20, 1]), Matrix(2, 1, [2**20, 3])  # 64-bit fields
+    u, v = make_vectors(9, 4)
+    vectors = {"operands": (u, v)}
+    return {
+        "make_gemm": ((a, b), ()),
+        "reference_matmul": (reference_matmul(a, b), (a, b)),
+        "reference_matmul-flipped": (reference_matmul(tall_a, tall_b), (tall_a, tall_b)),
+        "reference_matmul-int64": (reference_matmul(wide_a, wide_b), (wide_a, wide_b)),
+        "systolic": (simulate_systolic_gemm(a, b, SystolicConfig(4, 3)).result, (a, b)),
+        "streamer": (simulate_cs_gemm(a, b, build_ce_tree(4), 2).result, (a, b)),
+        "chain": (simulate_chain_reduction(9, **vectors).result, (u, v)),
+        "grid": (simulate_grid_reduction(9, **vectors).result, (u, v)),
+        "tree": (simulate_tree_inner_product(9, **vectors).result, (u, v)),
+    }
+
+
+@pytest.mark.parametrize("name", built_matrices())
+def test_built_matrices_own_read_only_int64_buffers(name):
+    matrices, operands = built_matrices()[name]
+    for mat in matrices if isinstance(matrices, tuple) else (matrices,):
+        assert mat.data.dtype == np.int64
+        assert not mat.data.flags.writeable and not mat.to_numpy().flags.writeable
+        for op in operands:
+            assert not np.shares_memory(mat.data, getattr(op, "data", op))
+        for twin in (copy.copy(mat), copy.deepcopy(mat), pickle.loads(pickle.dumps(mat))):
+            assert twin == mat and twin.data.dtype == np.int64
+            assert not twin.data.flags.writeable
+
+
 def test_matrix_equality_compares_shape_and_values():
     a = Matrix(1, 4, [1, 2, 3, 4])
     assert a == Matrix(1, 4, np.arange(1, 5))
@@ -235,85 +267,47 @@ def randint_draws(rng, count):
     return [rng.randint(-128, 127) for _ in range(count)]
 
 
-# How each generator is advanced before the draws: a fresh generator sits at
-# pos 624; one word and 700 words leave pos at 1 and 76; gauss() leaves
-# gauss_next set, which the draws must carry over untouched.
-PRELUDES = {
-    "fresh": lambda rng: None,
-    "1 word": lambda rng: rng.getrandbits(32),
-    "700 words": lambda rng: rng.getrandbits(32 * 700),
-    "gauss_next set": lambda rng: rng.gauss(),
-}
-# Every seed kind (zero, negative, multi-word key) and every prelude, at least once.
-CASES = [
-    (0, "fresh"),
-    (1, "1 word"),
-    (7, "700 words"),
-    (2**31 + 5, "gauss_next set"),
-    (-5, "700 words"),
-    (2**40 + 1, "1 word"),
-    (-(2**40), "gauss_next set"),
-]
-MULTI_ROUND_CASES = [(3, "fresh"), (-5, "gauss_next set"), (2**40 + 1, "700 words")]
+T = NUMPY_DRAW_MIN
+# Both word sources: getrandbits below NUMPY_DRAW_MIN, numpy's RandomState
+# from it on; 100 000 values take several capped rounds.
+COUNTS = (*range(67), 1000, T - 1, T, T + 1, 100_000)
+# Zero, negative and multi-word seeds.  Seeds below 2**32 make one-element
+# keys on the numpy side, which seed another stream if passed as an array.
+SEEDS = [0, 5, -7, 2**32, 2**40 + 1, 1, 7, 2**31 + 5, -5, -(2**40)]
 
 
-def ids(cases):
-    return [str(seed) for seed, _ in cases]
+@pytest.mark.parametrize("seed", SEEDS)
+def test_operand_draws_match_randint(seed):
+    # Every draw seeds its own generator, so each count reads a prefix of one stream.
+    want = randint_draws(random.Random(seed), max(COUNTS))
+    for count in COUNTS:
+        drawn = _draw_operands(seed, count)
+        assert drawn.dtype == np.int64 and not drawn.flags.writeable
+        assert drawn.tolist() == want[:count], count
 
 
-def assert_draws_match_randint(seed, prelude, counts):
-    expected_rng, rng = random.Random(seed), random.Random(seed)
-    PRELUDES[prelude](expected_rng)
-    PRELUDES[prelude](rng)
-    for count in counts:
-        drawn = _draw_operands(rng, count)
-        assert drawn.dtype == np.int64
-        assert drawn.tolist() == randint_draws(expected_rng, count)
-        # The generator must be left where randint leaves it.
-        assert rng.getstate() == expected_rng.getstate()
-    assert rng.gauss() == expected_rng.gauss()
-
-
-@pytest.mark.parametrize("seed, prelude", CASES, ids=ids(CASES))
-def test_operand_draws_match_randint(seed, prelude):
-    # Both word sources: getrandbits below NUMPY_DRAW_MIN, MT19937 from it on.
-    t = NUMPY_DRAW_MIN
-    assert_draws_match_randint(seed, prelude, (0, 1, 3, 1000, t - 1, t, t + 1))
-
-
-@pytest.mark.parametrize("seed, prelude", MULTI_ROUND_CASES, ids=ids(MULTI_ROUND_CASES))
-def test_multi_round_draw_matches_randint(seed, prelude):
-    # About half the words are rejected, so 100 000 values take ~18 rounds,
-    # the first ones capped at DRAW_ROUND_WORDS.
-    assert_draws_match_randint(seed, prelude, (100_000,))
-
-
-@pytest.mark.parametrize("seed, prelude", [(5, "700 words"), (-(2**40), "gauss_next set")])
-def test_every_tail_length_matches_randint(seed, prelude):
-    # Counts below one tail draw no numpy round; up to two tails, the rounds
-    # hand over at every point; from the MT19937 threshold on, the tail
-    # follows the state's write-back.
-    small = range(2 * DRAW_TAIL + 2)
-    large = range(NUMPY_DRAW_MIN, NUMPY_DRAW_MIN + DRAW_TAIL + 1)
-    assert_draws_match_randint(seed, prelude, [*small, *large])
+@pytest.mark.parametrize("seed", [3, -5, 2**40 + 1])
+def test_multi_round_draw_matches_randint(seed, monkeypatch):
+    # Rounds of 7 words accept 0 to 7 values, so on both word sources the
+    # rounds hand over at every point and many fall short of what is missing.
+    monkeypatch.setattr(workload, "DRAW_ROUND_WORDS", 7)
+    want = randint_draws(random.Random(seed), T + 3)
+    for count in (1, 2, 50, T + 3):
+        assert _draw_operands(seed, count).tolist() == want[:count]
 
 
 def test_interleaved_large_draws_match_randint():
-    # Large draws share one MT19937: each loads its own generator's state
-    # first, so a draw from B between two from A changes neither.
-    rngs = {"A": random.Random(3), "B": random.Random(-7)}
-    twins = {"A": random.Random(3), "B": random.Random(-7)}
-    draws = (("A", NUMPY_DRAW_MIN), ("B", NUMPY_DRAW_MIN + 5), ("A", NUMPY_DRAW_MIN + 1))
-    for name, count in draws:
-        assert _draw_operands(rngs[name], count).tolist() == randint_draws(twins[name], count)
-    for name in rngs:
-        assert rngs[name].getstate() == twins[name].getstate()
+    # Large draws share one RandomState: each reseeds it first, so a draw for
+    # seed -7 between two for seed 3 changes neither.
+    want = {seed: randint_draws(random.Random(seed), T + 5) for seed in (3, -7)}
+    for seed, count in ((3, T), (-7, T + 5), (3, T + 1)):
+        assert _draw_operands(seed, count).tolist() == want[seed][:count]
 
 
 def test_large_draws_on_several_threads_match_serial_draws():
-    # Every large draw loads its state into the one shared MT19937, so two
-    # threads drawing at once would each read words the other's state left.
-    # A short switch interval makes the threads swap inside every draw.
+    # Every large draw reseeds the one shared RandomState, so two threads
+    # drawing at once would each read words the other's seed left.  A short
+    # switch interval makes the threads swap inside every draw.
     seeds = range(4)
     expected = {seed: make_vectors(NUMPY_DRAW_MIN * 2, seed) for seed in seeds}
     got = {}
@@ -341,13 +335,13 @@ def test_large_draws_on_several_threads_match_serial_draws():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_large_draw_peaks_at_output_plus_one_round(seed):
     # Capped rounds keep a draw's memory the same whatever the seed rejects:
-    # the int64 output plus one round's buffers (8 bytes a word drawn, 1 of
+    # the int64 output plus one round's buffers (4 bytes a word drawn, 1 of
     # mask, up to 8 of index and 2 of accepted value).
     count = 2**21
-    _draw_operands(random.Random(0), NUMPY_DRAW_MIN)  # imports numpy.random
+    _draw_operands(0, NUMPY_DRAW_MIN)  # imports numpy.random
     tracemalloc.start()
     try:
-        _draw_operands(random.Random(seed), count)
+        _draw_operands(seed, count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

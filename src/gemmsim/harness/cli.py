@@ -8,6 +8,7 @@ ran out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .. import __version__
@@ -64,7 +65,8 @@ def _run_validate(seed: int, corpus_size: int) -> int:
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache  # built by the first call, not at import, and shared by every later one
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gemmsim",
         description="Simulation workbench for matrix-multiply architectures.",
@@ -82,8 +84,11 @@ def main(argv: list[str] | None = None) -> int:
     val_p.add_argument("--corpus-size", type=int, default=200)
 
     sub.add_parser("version", help="print the tool version")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return _execute(args.config, require_sweep=False)
     if args.command == "sweep":

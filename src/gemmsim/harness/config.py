@@ -535,7 +535,17 @@ def _point_kind(
         return resolved
 
     def rows(resolved: dict) -> list[dict[str, Any]]:
-        return [_point_row(resolved["kind"], arch, workload) for workload, arch in points(resolved)]
+        grid, out = points(resolved), []
+        for index, (w, arch) in enumerate(grid, 1):
+            try:
+                out.append(_point_row(resolved["kind"], arch, w))
+            except OverflowError as exc:  # as _bounds_rows does, name the largest of m, n and k
+                if w["kind"] != "gemm" or w["m"] * w["n"] * w["k"] <= sys.float_info.max:
+                    raise  # not a shape beyond floats
+                key = max("mnk", key=w.get)
+                message = f"point {index} of {len(grid)}: key '{key}' is too large: {exc}"
+                raise OverflowError(message) from None
+        return out
 
     return Kind(keys, resolve_points, rows, sweepable)
 

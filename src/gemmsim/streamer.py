@@ -94,10 +94,11 @@ def _cs_transfer_counts(tree: CETree, m: int, n: int, k: int) -> dict[str, int]:
     decrease along a row or down a column, so the subtrees of g leaves needing
     row or column slices number m + n plus the changes of owner // g along
     the rows and down the columns.  Those changes sit at the group starts s_q
-    for q = g, 2g, ... < num_pes.  The starts of all num_pes PEs, and which
-    of them fall inside a row, are built once per call; each level reads its
-    group starts and their predecessors as strided slices of that one array,
-    so it costs O(num_pes / g).
+    for q = g, 2g, ... < num_pes.  The starts of all num_pes PEs are built
+    once per call; every level's group starts starts[g::g] and their
+    predecessors starts[:-g:g] are concatenated, g = 1 first, and counted in
+    one pass.  Level g = 1 alone gives ce_to_pe, and the levels g = 1,
+    fanout, ..., fanout**(levels - 2) together give ce_to_ce.
     """
     levels, fanout = tree.levels, tree.fanout
     if levels == 0:
@@ -111,18 +112,15 @@ def _cs_transfer_counts(tree: CETree, m: int, n: int, k: int) -> dict[str, int]:
     base, extra = divmod(outputs, tree.num_pes)
     q = np.arange(tree.num_pes, dtype=np.int64)
     starts = q * base + np.minimum(q, extra)
-    along = starts % n != 0  # a start inside a row splits that row once
-
-    def subtrees(group: int) -> int:
-        # Owner groups change at the starts of PEs group, 2*group, ...
-        at, prev = starts[group::group], starts[:-group:group]
-        # Outputs u and u + n differ iff a start lies in (u, u + n]; count each
-        # such u < outputs - n once, at the first start that covers it.
-        down_cols = np.maximum(np.minimum(at, outputs - n) - np.maximum(prev, at - n), 0)
-        return m + n + int(np.count_nonzero(along[group::group])) + int(down_cols.sum())
-
-    ce_to_pe = subtrees(1)
-    ce_to_ce_down = sum(subtrees(fanout**e) for e in range(levels - 1))
+    groups = [fanout**e for e in range(max(levels - 1, 1))]
+    at = np.concatenate([starts[g::g] for g in groups])
+    prev = np.concatenate([starts[:-g:g] for g in groups])
+    # A start inside a row splits that row once.  Outputs u and u + n differ
+    # iff a start lies in (u, u + n]; count each such u < outputs - n once,
+    # at the first start that covers it.
+    splits = (at % n != 0) + np.maximum(np.minimum(at, outputs - n) - np.maximum(prev, at - n), 0)
+    ce_to_pe = m + n + int(splits[: tree.num_pes - 1].sum())
+    ce_to_ce_down = (levels - 1) * (m + n) + int(splits.sum()) if levels > 1 else 0
 
     return {
         "mem_to_ce": k * (m + n),

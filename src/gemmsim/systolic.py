@@ -27,7 +27,6 @@ activity trace counts busy PEs clock by clock.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .results import SimResult, build_result
 from .workload import (
@@ -132,8 +131,8 @@ def _row_loop(inject: np.ndarray, weights: np.ndarray, bottom: np.ndarray, chunk
     span = bottom.shape[0]
     # a_rows[r, t, c, 1 + s] is inject[r, t, C + s - c].
     s0, s1, s2 = inject.strides
-    a_rows = as_strided(
-        inject[..., c_ext - 1 :], (r_ext, kt, c_ext, span + 1), (s0, s1, -s2, s2), writeable=False
+    a_rows = np.ndarray(
+        (r_ext, kt, c_ext, span + 1), inject.dtype, inject, (c_ext - 1) * s2, (s0, s1, -s2, s2)
     )
     p_buf = [np.empty((chunk, kt, c_ext, span + 1), dtype=weights.dtype) for _ in range(2)]
     # w_rows[r, u, t, c] is weights[u, r, t, c], broadcast over the clocks.
@@ -183,11 +182,14 @@ def simulate_systolic_gemm(
     # Injection schedule: at stream cycle s, array row r of k-tile t receives
     # A[s - r, t*R + r] (skewed wavefront), held at inject[r, t, C + s]; the C
     # leading zeros are what PEs east of column 0 hold before the stream.
-    a_np = a.to_numpy()
+    # It is written through one skewed view, skew[r, t, i] = inject[r, t, C + r + i]:
+    # the full k-tiles, then the ragged one.
+    a_np, full = a.to_numpy(), k // r_ext
     inject = np.zeros((r_ext, kt, c_ext + stream_span), dtype=dtype)
-    for r in range(min(r_ext, k)):
-        cols = a_np[:, r::r_ext].T
-        inject[r, : cols.shape[0], c_ext + r : c_ext + r + m] = cols
+    s0, s1, s2 = inject.strides
+    skew = np.ndarray((r_ext, kt, m), dtype, inject, c_ext * s2, (s0 + s2, s1, s2))
+    skew[:, :full] = a_np[:, : full * r_ext].reshape(m, full, r_ext).T
+    skew[: k - full * r_ext, full:] = a_np[:, full * r_ext :].T[:, None]
     # weights[u, r, t, c] is B[t*R + r, u*C + c], zero past the edges.
     weights = np.zeros((kt * r_ext, nt * c_ext), dtype=dtype)
     weights[:k, :n] = b.to_numpy()
@@ -200,11 +202,11 @@ def simulate_systolic_gemm(
     else:
         _clock_loop(inject, weights, bottom)
     # Free the pass state before the result is copied.
-    del inject, weights
+    del inject, skew, weights
     # Column c of n-tile u finishes logical row i at stream cycle i + R - 1 + c,
     # at most m + R + C - 3, bottom's last row.
     s0, s1, s2 = bottom.strides
-    c_acc = as_strided(bottom[r_ext - 1 :], (m, nt, c_ext), (s0, s1, s0 + s2), writeable=False)
+    c_acc = np.ndarray((m, nt, c_ext), dtype, bottom, (r_ext - 1) * s0, (s0, s1, s0 + s2))
     # C is copied once out of bottom: the full n-tiles, through a reshape
     # that only splits C's columns and so is a view, then the ragged last one.
     c = np.empty((m, n), dtype=np.int64)

@@ -190,13 +190,13 @@ def _adopt(arr: np.ndarray) -> Matrix:
     return mat
 
 
-def require_operand_range(*matrices: Matrix) -> None:
-    """Reject matrices whose elements fall outside the operand width."""
-    for mat in matrices:
-        if mat.data.min() < OPERAND_MIN or mat.data.max() > OPERAND_MAX:
-            bad = (mat.data < OPERAND_MIN) | (mat.data > OPERAND_MAX)  # names the first
+def require_operand_range(*operands: Matrix | np.ndarray) -> None:
+    """Reject matrices or vectors whose elements fall outside the operand width."""
+    for data in (op.data if isinstance(op, Matrix) else op for op in operands):
+        if data.min() < OPERAND_MIN or data.max() > OPERAND_MAX:
+            bad = (data < OPERAND_MIN) | (data > OPERAND_MAX)  # names the first
             raise ValueError(
-                f"operand element {mat.data[bad.argmax()]} outside [{OPERAND_MIN}, {OPERAND_MAX}]"
+                f"operand element {data[bad.argmax()]} outside [{OPERAND_MIN}, {OPERAND_MAX}]"
             )
 
 
@@ -212,10 +212,20 @@ def resolve_vector_operands(
         return make_vectors(n, seed)
     if any(len(v) != n for v in operands):
         raise ValueError(f"operand vectors must have length {n}")
-    # Matrix rejects floats, bools and values outside int64.
-    a, b = (Matrix(1, n, v) for v in operands)
+    a, b = (_operand_vector(v, n) for v in operands)
     require_operand_range(a, b)
-    return a.data, b.data
+    return a, b
+
+
+def _operand_vector(v: np.ndarray | Sequence[int], n: int) -> np.ndarray:
+    """A 1-D signed-integer array read in place as int64 (copied only from a
+    narrower type), or any other vector through Matrix, which rejects floats,
+    bools and values outside int64."""
+    if not (isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind == "i"):
+        return Matrix(1, n, v).data
+    v = v.astype(np.int64, copy=False).view()
+    v.flags.writeable = False
+    return v
 
 
 # Draws of at least this many values take their words from numpy's legacy

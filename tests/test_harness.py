@@ -5,6 +5,8 @@ import dataclasses
 import importlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -719,6 +721,79 @@ def test_bounds_overflow_names_the_entry_and_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bounds entry 1: key 'computations' is too large: int too large to convert" in err
     assert not (tmp_path / "out").exists()
+
+
+def summa_payload(tmp_path, **workload):
+    payload = json.loads((CONFIGS / "summa_cluster.json").read_text())
+    payload["workload"].update(workload)
+    payload["output"] = {"dir": str(tmp_path / "out")}
+    return payload
+
+
+@pytest.mark.parametrize("key", ["m", "n", "k"])
+def test_summa_overflow_names_the_point_and_key(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, summa_payload(tmp_path, **{key: 10**400}))
+    assert cli.main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"rejected: point 1 of 1: key '{key}' is too large: " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_summa_sweep_overflow_names_the_point_and_the_largest_key(tmp_path, capsys):
+    payload = summa_payload(tmp_path, m=10**100, n=10**100)
+    payload.update(kind="sweep", grid={"workload.k": [1, 10**300]})
+    assert cli.main(["sweep", str(write_config(tmp_path, payload))]) == 3
+    # No size exceeds a float alone; m*n*k at the second point does.
+    assert "rejected: point 2 of 2: key 'k' is too large: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_summa_cost_overflow_names_no_shape_key(tmp_path, capsys):
+    payload = summa_payload(tmp_path)
+    payload["arch"].update(alpha=1e308, beta=1e308)
+    assert cli.main(["run", str(write_config(tmp_path, payload))]) == 3
+    err = capsys.readouterr().err
+    assert "rejected: " in err and "key" not in err
+
+
+def test_cli_parser_is_shared_between_calls(monkeypatch, capsys):
+    seen = []
+
+    def recording(seed, corpus_size):
+        seen.append((seed, corpus_size))
+        return ValidationReport([])
+
+    monkeypatch.setattr(cli, "run_validation", recording)
+    assert cli.main(["validate", "--seed", "3", "--corpus-size", "2"]) == 0
+    assert cli.main(["version"]) == 0
+    assert capsys.readouterr().out.startswith("gemmsim ")
+    assert cli.main(["validate"]) == 0
+    # Each call parses into its own namespace: the defaults come back.
+    assert seen == [(3, 2), (0, 200)]
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from gemmsim.harness import cli\n"
+        "assert built == [], built\n"
+        "assert cli.main(['version']) == 0\n"
+        "first = len(built)\n"
+        "assert first and cli.main(['version']) == 0 and len(built) == first, built\n"
+    )
+    src = str(CONFIGS.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_non_string_arch_type_is_config_error(tmp_path, capsys):

@@ -17,6 +17,7 @@ from gemmsim import (
     simulate_grid_reduction,
     simulate_tree_inner_product,
 )
+from gemmsim.workload import resolve_vector_operands
 
 
 def dot(a, b):
@@ -164,6 +165,53 @@ def test_explicit_numpy_operands_are_accepted(simulate):
     assert simulate(3, operands=(a, (7, 4, -1))) == res
     with pytest.raises(ValueError, match="operand element 128 outside"):
         simulate(3, operands=(a, np.array([1, 128, 1])))
+
+
+def test_int64_operand_vectors_are_read_in_place():
+    a = np.array([3, -2, 5, 0])
+    b = np.arange(-8, 8, dtype=np.int64)[::4]  # strided, as a column of a matrix is
+    ra, rb = resolve_vector_operands(4, (a, b), 0)
+    assert np.shares_memory(ra, a) and np.shares_memory(rb, b)
+    assert not ra.flags.writeable and not rb.flags.writeable
+    assert ra.dtype == rb.dtype == np.int64
+    assert a.flags.writeable and b.flags.writeable  # the caller's arrays are untouched
+    assert ra.tolist() == [3, -2, 5, 0] and rb.tolist() == [-8, -4, 0, 4]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+def test_narrower_int_operand_vectors_come_back_as_int64(dtype):
+    a = np.array([3, -2, 5], dtype=dtype)
+    ra, rb = resolve_vector_operands(3, (a, a), 0)
+    for r in (ra, rb):
+        assert r.dtype == np.int64 and not r.flags.writeable and r.tolist() == [3, -2, 5]
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        (np.array([True, False, True]), "integers that fit in int64, got bool"),
+        (np.array([1.0, 2.0, 3.0]), "integers that fit in int64, got float64"),
+        (np.array([1, 2, 2**63], dtype=np.uint64), "integers that fit in int64, got uint64"),
+        (np.ones((3, 1), dtype=np.int64), r"3 elements for a 1x3 matrix, got shape \(3, 1\)"),
+        (np.array([1, 128, 1]), r"operand element 128 outside \[-128, 127\]"),
+        (np.array([1, -129, 1], dtype=np.int16), r"operand element -129 outside \[-128, 127\]"),
+    ],
+)
+def test_operand_vector_arrays_are_rejected_as_before(vector, message):
+    ok = np.array([1, 1, 1])
+    for operands in ((vector, ok), (ok, vector)):
+        with pytest.raises(ValueError, match=message):
+            resolve_vector_operands(3, operands, 0)
+
+
+@pytest.mark.parametrize("simulate", INNER_PRODUCTS)
+def test_array_and_list_operands_give_equal_results(simulate):
+    a, b = make_vectors(37, 5)
+    from_lists = simulate(37, operands=(a.tolist(), b.tolist()), with_trace=True)
+    assert simulate(37, operands=(a, b), with_trace=True) == from_lists
+    assert simulate(37, operands=(a.astype(np.int8), b.astype(np.int32))) == simulate(
+        37, operands=(a.tolist(), b.tolist())
+    )
 
 
 def test_chain_exactness_random():

@@ -3,7 +3,7 @@
 ``_cs_transfer_counts`` counts the CE subtrees that need each operand slice
 from the owner-group starts of each tree level, read as strided slices of one
 array of every PE's range start (``starts[g::g]`` and their predecessors
-``starts[:-g:g]``).  The first reference enumerates the need sets output by
+``starts[:-g:g]``) and concatenated over the levels into one pass.  The first reference enumerates the need sets output by
 output, with one ``owner_of`` bisect per output over the partition's range
 starts and a set of group ids per column.  The second is the counting it
 replaced: an m*n owner grid per level, whose changes along rows and down
@@ -96,6 +96,11 @@ def instances(draw):
 @example((12, 1, 3, 7, 2, 2))  # a single output column
 @example((1, 12, 3, 7, 3, 1))  # a single output row
 @example((4, 6, 3, 5, 2, 1))  # 24 outputs over 5 PEs: ranges of 5, 5, 5, 5, 4
+@example((3, 5, 2, 2, 2, 1))  # levels == 1: ce_to_pe only, no CE-to-CE level
+@example((4, 6, 3, 4, 4, 2))  # levels == 1 with P == fanout
+@example((4, 6, 3, 9, 3, 1))  # levels == 2: one CE-to-CE level, g = 1
+@example((4, 6, 3, 5, 3, 2))  # levels == 2 with a ragged top level
+@example((512, 512, 1, 1024, 2, 1))  # fanout 2 over 1024 PEs: levels == 10
 def test_transfer_counts_match_need_set_enumeration(inst):
     m, n, k, pes, fanout, block_width = inst
     tree = build_ce_tree(pes, fanout)

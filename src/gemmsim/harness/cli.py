@@ -33,12 +33,10 @@ def _execute(config_path: str, require_sweep: bool) -> int:
         if require_sweep and not KINDS[resolved["kind"]].sweepable:
             accepted = " or ".join(f"'{kind}'" for kind, spec in KINDS.items() if spec.sweepable)
             raise ConfigError(f"the sweep command needs kind {accepted}, got '{resolved['kind']}'")
+        rows = run_experiment(resolved)  # a bad or infeasible point is a ConfigError
     except ConfigError as exc:
         _err(f"config error: {exc}")
         return EXIT_CONFIG
-
-    try:
-        rows = run_experiment(resolved)
     except (ValueError, OverflowError) as exc:
         _err(f"simulation input rejected: {exc}")
         return EXIT_SIM_INPUT

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -237,7 +238,8 @@ def _sweep_points(resolved: dict) -> list[tuple[dict, dict]]:
     grid = resolved["grid"]
     points = []
     for combo in itertools.product(*grid.values()):
-        point = copy.deepcopy({"workload": resolved["workload"], "arch": resolved["arch"]})
+        # The base sections passed _check_section, so they hold only scalars.
+        point = {section: dict(resolved[section]) for section in SECTIONS}
         for key, value in zip(grid, combo):
             section, _, field = key.partition(".")
             point[section][field] = value
@@ -411,8 +413,8 @@ class Arch(NamedTuple):
     at call time, so patched simulators run.  Mesh machines report the mesh
     bound of their dimension beside their cycles.  feasible, where given, is
     the keys a point must fit, the requirement they must meet, and its
-    predicate over the arch and the workload; every point is checked at
-    resolution.
+    predicate over the arch and the workload; every point is checked before
+    any point runs.
     """
 
     workload: str
@@ -507,8 +509,9 @@ class Kind(NamedTuple):
     """One experiment kind: its top-level keys, resolver and row producer.
 
     resolve maps the raw config to the kind's resolved keys; rows maps the
-    resolved config to report rows in deterministic order.  sweepable marks
-    the kinds `gemmsim sweep` accepts.
+    resolved config to report rows in deterministic order, resolving a
+    sweep's points and checking every point before any runs.  sweepable
+    marks the kinds `gemmsim sweep` accepts.
     """
 
     keys: tuple[str, ...]
@@ -517,52 +520,38 @@ class Kind(NamedTuple):
     sweepable: bool = False
 
 
-def _point_kind(
-    keys: tuple[str, ...],
-    resolve: Callable[[dict], dict],
-    points: Callable[[dict], list[tuple[dict, dict]]],
-    sweepable: bool = False,
-) -> Kind:
-    """A kind that runs a list of (workload, arch) points.
-
-    Resolution resolves every point and checks that its machine can run it,
-    so a broken or infeasible point fails before any simulation starts.
-    """
-
-    def resolve_points(raw: dict) -> dict:
-        resolved = resolve(raw)
-        _check_feasible(points(resolved))
-        return resolved
-
-    def rows(resolved: dict) -> list[dict[str, Any]]:
-        grid, out = points(resolved), []
-        for index, (w, arch) in enumerate(grid, 1):
-            try:
-                out.append(_point_row(resolved["kind"], arch, w))
-            except OverflowError as exc:  # as _bounds_rows does, name the largest of m, n and k
-                if w["kind"] != "gemm" or w["m"] * w["n"] * w["k"] <= sys.float_info.max:
-                    raise  # not a shape beyond floats
-                key = max("mnk", key=w.get)
-                message = f"point {index} of {len(grid)}: key '{key}' is too large: {exc}"
-                raise OverflowError(message) from None
-        return out
-
-    return Kind(keys, resolve_points, rows, sweepable)
+def _point_rows(kind: str, points: list[tuple[dict, dict]]) -> list[dict[str, Any]]:
+    """Report rows of (workload, arch) points, every point checked before any runs."""
+    _check_feasible(points)
+    rows = []
+    for index, (w, arch) in enumerate(points, 1):
+        try:
+            rows.append(_point_row(kind, arch, w))
+        except (OverflowError, ValueError) as exc:  # as _bounds_rows does, name the largest size
+            sizes = "mnk" if w["kind"] == "gemm" else "n"
+            if math.prod(w[key] for key in sizes) <= sys.float_info.max:
+                raise  # not a size beyond floats
+            key = max(sizes, key=w.get)
+            raise type(exc)(f"point {index} of {len(points)}: key '{key}' is too large: {exc}") from None
+    return rows
 
 
 KINDS = {
-    "simulate": _point_kind(
+    "simulate": Kind(
         ("workload", "arch"),
         _resolve_simulate,
-        lambda resolved: [(resolved["workload"], resolved["arch"])],
+        lambda resolved: _point_rows("simulate", [(resolved["workload"], resolved["arch"])]),
     ),
-    "sweep": _point_kind(
-        ("workload", "arch", "grid"), _resolve_sweep, _sweep_points, sweepable=True
+    "sweep": Kind(
+        ("workload", "arch", "grid"),
+        _resolve_sweep,
+        lambda resolved: _point_rows("sweep", _sweep_points(resolved)),
+        sweepable=True,
     ),
-    "compare": _point_kind(
+    "compare": Kind(
         ("workload", "archs"),
         _resolve_compare,
-        lambda resolved: [(resolved["workload"], a) for a in resolved["archs"]],
+        lambda resolved: _point_rows("compare", [(resolved["workload"], a) for a in resolved["archs"]]),
     ),
     "bounds": Kind(("entries",), _resolve_bounds, _bounds_rows),
     "darksilicon": Kind(("generations",), _resolve_darksilicon, _darksilicon_rows, sweepable=True),
@@ -571,7 +560,11 @@ KINDS = {
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate a raw config and return it with every default made explicit."""
+    """Validate a raw config and return it with every default made explicit.
+
+    A sweep's points are resolved, and every point's feasibility checked, by
+    run_experiment, which raises ConfigError for them before any point runs.
+    """
     try:
         return _resolve(copy.deepcopy(raw))
     except RecursionError:  # from copying, resolving or printing a deeply nested value

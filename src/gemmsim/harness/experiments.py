@@ -49,9 +49,10 @@ REPORT_COLUMNS = [
 def run_experiment(resolved: dict) -> list[dict[str, Any]]:
     """Execute a resolved config and return report rows in deterministic order.
 
-    Simulator precondition violations surface as ValueError and analytic
-    models overflowing on their input as OverflowError, which the CLI maps to
-    its own exit code.
+    A sweep point that does not resolve, or any point its machine cannot run,
+    raises ConfigError before any point runs.  Simulator precondition
+    violations surface as ValueError and analytic models overflowing on their
+    input as OverflowError, which the CLI maps to its own exit code.
     """
     return KINDS[resolved["kind"]].rows(resolved)
 

@@ -530,6 +530,65 @@ def test_infeasible_point_is_config_error_before_any_simulation(
         assert not (tmp_path / "out").exists()
 
 
+def test_each_sweep_point_is_resolved_once(tmp_path, monkeypatch):
+    calls = {"resolve_workload": 0, "resolve_arch": 0}
+
+    def counting(name):
+        resolve = getattr(config, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return resolve(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(config, name, counting(name))
+    payload = dict(simulate_config(tmp_path / "out"), kind="sweep",
+                   grid={"workload.m": [2, 4], "arch.rows": [1, 2, 4]})
+    assert cli.main(["sweep", str(write_config(tmp_path, payload))]) == 0
+    assert len(read_rows(tmp_path / "out" / "report.csv")) == 6
+    assert calls == {"resolve_workload": 6, "resolve_arch": 6}
+
+
+# A config with a point fault and one other fault names the other one.
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        (
+            "sweep",
+            {"kind": "sweep", "workload": {"m": 4, "n": 4, "k": 4},
+             "arch": {"type": "systolic", "rows": 4, "cols": 4},
+             "grid": {"workload.m": [4, "x"]}, "bogus": 1},
+            "unknown key 'bogus' in config",
+        ),
+        (
+            "sweep",
+            {"kind": "compare", "workload": {"m": 2, "n": 2, "k": 2},
+             "archs": [{"type": "streamer", "pes": 16}]},
+            "the sweep command needs kind 'sweep' or 'darksilicon', got 'compare'",
+        ),
+    ],
+    ids=["bad-axis-value-and-unknown-key", "infeasible-compare-to-sweep-command"],
+)
+def test_the_fault_beside_a_point_fault_is_named(tmp_path, capsys, command, payload, message):
+    payload.update(schema_version=1, output={"dir": str(tmp_path / "out")})
+    assert cli.main([command, str(write_config(tmp_path, payload))]) == 2
+    assert capsys.readouterr().err == f"gemmsim: config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_experiment_checks_the_points_resolve_config_accepts(monkeypatch):
+    workload, feasible, _, axis, (module, attr), message = INFEASIBLE["streamer"]
+    monkeypatch.setattr(importlib.import_module(f"gemmsim.{module}"), attr, None)
+    resolved = resolve_config(
+        {"schema_version": 1, "kind": "sweep", "workload": workload, "arch": feasible, "grid": axis}
+    )
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(resolved)
+    assert str(exc.value).startswith(f"point 2 of 2 is infeasible: {message} (")
+
+
 def test_report_columns_are_stable():
     resolved = resolve_config(
         {
@@ -754,6 +813,34 @@ def test_summa_cost_overflow_names_no_shape_key(tmp_path, capsys):
     assert cli.main(["run", str(write_config(tmp_path, payload))]) == 3
     err = capsys.readouterr().err
     assert "rejected: " in err and "key" not in err
+
+
+# A size beyond a float that a simulator rejects: workload, arch, sweep grid, the point and key.
+OVERSIZE_POINTS = {
+    "systolic-m": ({"m": 10**400, "n": 2, "k": 2}, {"type": "systolic", "rows": 2, "cols": 2},
+                   None, "point 1 of 1: key 'm'"),
+    "streamer-k": ({"m": 2, "n": 2, "k": 10**400}, {"type": "streamer", "pes": 4},
+                   None, "point 1 of 1: key 'k'"),
+    **{
+        arch_type: ({"kind": "inner_product", "n": 10**400}, {"type": arch_type},
+                    None, "point 1 of 1: key 'n'")
+        for arch_type in ("chain", "grid", "tree")
+    },
+    "tree-sweep": ({"kind": "inner_product", "n": 4}, {"type": "tree"},
+                   {"workload.n": [4, 10**400]}, "point 2 of 2: key 'n'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZE_POINTS))
+def test_simulator_oversize_names_the_point_and_key(tmp_path, capsys, case):
+    workload, arch, grid, named = OVERSIZE_POINTS[case]
+    payload = {"schema_version": 1, "kind": "simulate", "workload": workload, "arch": arch,
+               "output": {"dir": str(tmp_path / "out")}}
+    if grid:
+        payload.update(kind="sweep", grid=grid)
+    assert cli.main(["sweep" if grid else "run", str(write_config(tmp_path, payload))]) == 3
+    assert f"rejected: {named} is too large: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_parser_is_shared_between_calls(monkeypatch, capsys):

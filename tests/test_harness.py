@@ -553,27 +553,25 @@ def test_each_sweep_point_is_resolved_once(tmp_path, monkeypatch):
 
 # A config with a point fault and one other fault names the other one.
 @pytest.mark.parametrize(
-    "command, payload, message",
+    "payload, message",
     [
         (
-            "sweep",
             {"kind": "sweep", "workload": {"m": 4, "n": 4, "k": 4},
              "arch": {"type": "systolic", "rows": 4, "cols": 4},
              "grid": {"workload.m": [4, "x"]}, "bogus": 1},
             "unknown key 'bogus' in config",
         ),
         (
-            "sweep",
             {"kind": "compare", "workload": {"m": 2, "n": 2, "k": 2},
              "archs": [{"type": "streamer", "pes": 16}]},
             "the sweep command needs kind 'sweep' or 'darksilicon', got 'compare'",
         ),
     ],
-    ids=["bad-axis-value-and-unknown-key", "infeasible-compare-to-sweep-command"],
+    ids=["bad-axis-value-and-unknown-key", "infeasible-compare"],
 )
-def test_the_fault_beside_a_point_fault_is_named(tmp_path, capsys, command, payload, message):
+def test_the_fault_beside_a_point_fault_is_named(tmp_path, capsys, payload, message):
     payload.update(schema_version=1, output={"dir": str(tmp_path / "out")})
-    assert cli.main([command, str(write_config(tmp_path, payload))]) == 2
+    assert cli.main(["sweep", str(write_config(tmp_path, payload))]) == 2
     assert capsys.readouterr().err == f"gemmsim: config error: {message}\n"
     assert not (tmp_path / "out").exists()
 

@@ -13,9 +13,9 @@ import sys
 
 from .. import __version__
 from .config import KINDS, ConfigError, load_config, resolve_config
-from .experiments import run_experiment, validation_failed
+from .experiments import run_experiment
 from .report import write_report
-from .validation import run_validation
+from .validation import CORPUS_SIZE, run_validation
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -34,6 +34,7 @@ def _execute(config_path: str, require_sweep: bool) -> int:
             accepted = " or ".join(f"'{kind}'" for kind, spec in KINDS.items() if spec.sweepable)
             raise ConfigError(f"the sweep command needs kind {accepted}, got '{resolved['kind']}'")
         rows = run_experiment(resolved)  # a bad or infeasible point is a ConfigError
+        csv_path, sidecar_path = write_report(resolved, rows, __version__)  # so is a bad directory
     except ConfigError as exc:
         _err(f"config error: {exc}")
         return EXIT_CONFIG
@@ -43,14 +44,8 @@ def _execute(config_path: str, require_sweep: bool) -> int:
     except MemoryError as exc:  # numpy names the allocation; a bare one is empty
         _err(f"simulation input rejected: out of memory{f' ({exc})' if str(exc) else ''}")
         return EXIT_SIM_INPUT
-
-    try:
-        csv_path, sidecar_path = write_report(resolved, rows, __version__)
-    except ConfigError as exc:  # the output directory could not be created
-        _err(f"config error: {exc}")
-        return EXIT_CONFIG
     _err(f"wrote {csv_path} and {sidecar_path} ({len(rows)} rows)")
-    if validation_failed(rows):
+    if any(row.get("failures") for row in rows):
         _err("validation: FAIL")
         return EXIT_VALIDATION
     return EXIT_OK
@@ -79,7 +74,7 @@ def _parser() -> argparse.ArgumentParser:
 
     val_p = sub.add_parser("validate", help="run the cross-simulator oracle suite")
     val_p.add_argument("--seed", type=int, default=0)
-    val_p.add_argument("--corpus-size", type=int, default=200)
+    val_p.add_argument("--corpus-size", type=int, default=CORPUS_SIZE)
 
     sub.add_parser("version", help="print the tool version")
     return parser

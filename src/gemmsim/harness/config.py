@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, NoReturn
 
 from .. import bounds, meshflow, streamer, summa, systolic
 from .. import workload as workload_mod
@@ -27,7 +27,6 @@ SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "GEMMSIM_OUTPUT_DIR"
 
 REQUIRED = object()  # default of a key that every spec of its type must give
-BOUNDS_KEYS = ("inputs", "outputs", "computations", "dimension")
 
 
 class ConfigError(Exception):
@@ -273,12 +272,13 @@ def _resolve_sweep(raw: dict) -> dict:
 
 
 def _resolve_bounds(raw: dict) -> dict:
+    keys = bounds.MeshBoundInput._fields  # an entry's keys are the record's fields
     entries = []
     for entry in _nonempty_list(raw, "entries"):
         if not isinstance(entry, dict):
             raise ConfigError("each bounds entry must be an object")
-        _check_known_keys(entry, set(BOUNDS_KEYS), "bounds entry")
-        out = {key: _as_int(_require(entry, key, "bounds entry"), key, 1) for key in BOUNDS_KEYS}
+        _check_known_keys(entry, set(keys), "bounds entry")
+        out = {key: _as_int(_require(entry, key, "bounds entry"), key, 1) for key in keys}
         if out["dimension"] > 3:
             raise ConfigError(f"key 'dimension' must be 1, 2 or 3, got {entry['dimension']}")
         entries.append(out)
@@ -293,7 +293,7 @@ def _resolve_darksilicon(raw: dict) -> dict:
 def _resolve_validate(raw: dict) -> dict:
     return {
         "seed": _as_int(raw.get("seed", 0), "seed"),
-        "corpus_size": _as_int(raw.get("corpus_size", 200), "corpus_size", 1),
+        "corpus_size": _as_int(raw.get("corpus_size", validation.CORPUS_SIZE), "corpus_size", 1),
     }
 
 
@@ -330,7 +330,7 @@ def _point_row(kind: str, arch: dict, workload: dict) -> dict[str, Any]:
     spec = ARCHS[arch["type"]]
     row = _base_row(kind, arch["type"], _params(arch), workload["kind"])
     if workload["kind"] == "gemm":
-        row.update((key, workload[key]) for key in ("m", "n", "k", "seed", "block_width"))
+        row.update((key, workload[key]) for key in WORKLOAD_KINDS["gemm"])
     else:
         row.update(vector_n=workload["n"], seed=workload["seed"])
 
@@ -367,30 +367,31 @@ def _check_feasible(points: list[tuple[dict, dict]]) -> None:
             )
 
 
+def _name_too_large(exc: Exception, where: str, sizes: dict[str, int]) -> NoReturn:
+    """Re-raise exc; if the sizes' product exceeds a float, name the largest size's key."""
+    if math.prod(sizes.values()) <= sys.float_info.max:
+        raise exc  # not a size beyond floats
+    key = max(sizes, key=sizes.get)
+    raise type(exc)(f"{where}: key '{key}' is too large: {exc}") from None
+
+
 def _bounds_rows(resolved: dict) -> list[dict[str, Any]]:
     rows = []
     for index, entry in enumerate(resolved["entries"]):
         row = _base_row(resolved["kind"], "fisher_bound", _params(entry), "")
         try:
             row["bound_value"] = bounds.fisher_bound(bounds.MeshBoundInput(**entry))
-        except OverflowError as exc:  # if any value exceeds a float, the largest does
-            key = max(entry, key=entry.get)
-            raise OverflowError(f"bounds entry {index}: key '{key}' is too large: {exc}") from None
+        except OverflowError as exc:  # only a value beyond a float overflows
+            _name_too_large(exc, f"bounds entry {index}", entry)
         rows.append(row)
     return rows
 
 
 def _darksilicon_rows(resolved: dict) -> list[dict[str, Any]]:
     rows = []
-    for generation in resolved["generations"]:
-        point = bounds.dark_silicon(generation)
+    for g in resolved["generations"]:
         row = _base_row(resolved["kind"], "dark_silicon", "", "")
-        row.update(
-            generation=generation,
-            core_multiplier=point.core_multiplier,
-            powered_fraction=point.powered_fraction,
-            effective_multiplier=point.effective_multiplier,
-        )
+        row.update(generation=g, **vars(bounds.dark_silicon(g)))  # its fields are the columns
         rows.append(row)
     return rows
 
@@ -470,13 +471,12 @@ ARCHS = {
     ),
     "streamer": Arch(
         "gemm",
-        {"pes": REQUIRED, "fanout": 4, "level_latency": 1,
+        {"pes": REQUIRED, "fanout": streamer.DEFAULT_FANOUT,
+         "level_latency": streamer.DEFAULT_LEVEL_LATENCY,
          "port_width": lambda _, out: out["fanout"]},
         lambda arch, w: streamer.simulate_cs_gemm(
             *_operands(w),
-            streamer.build_ce_tree(
-                arch["pes"], arch["fanout"], arch["level_latency"], arch["port_width"]
-            ),
+            streamer.CETree(arch["pes"], arch["fanout"], arch["level_latency"], arch["port_width"]),
             w["block_width"],
         ),
         feasible=("key 'pes'", "pes <= m*n", lambda arch, w: arch["pes"] <= w["m"] * w["n"]),
@@ -506,15 +506,15 @@ SECTIONS = {"workload": ("kind", WORKLOAD_KINDS, WORKLOAD_FIELDS),
 
 
 class Kind(NamedTuple):
-    """One experiment kind: its top-level keys, resolver and row producer.
+    """One experiment kind: its resolver and row producer.
 
-    resolve maps the raw config to the kind's resolved keys; rows maps the
-    resolved config to report rows in deterministic order, resolving a
-    sweep's points and checking every point before any runs.  sweepable
-    marks the kinds `gemmsim sweep` accepts.
+    resolve maps the raw config to the kind's resolved keys, which are its
+    top-level keys, optional ones included; rows maps the resolved config to
+    report rows in deterministic order, resolving a sweep's points and
+    checking every point before any runs.  sweepable marks the kinds
+    `gemmsim sweep` accepts.
     """
 
-    keys: tuple[str, ...]
     resolve: Callable[[dict], dict]
     rows: Callable[[dict], list[dict[str, Any]]]
     sweepable: bool = False
@@ -527,35 +527,29 @@ def _point_rows(kind: str, points: list[tuple[dict, dict]]) -> list[dict[str, An
     for index, (w, arch) in enumerate(points, 1):
         try:
             rows.append(_point_row(kind, arch, w))
-        except (OverflowError, ValueError) as exc:  # as _bounds_rows does, name the largest size
+        except (OverflowError, ValueError) as exc:
             sizes = "mnk" if w["kind"] == "gemm" else "n"
-            if math.prod(w[key] for key in sizes) <= sys.float_info.max:
-                raise  # not a size beyond floats
-            key = max(sizes, key=w.get)
-            raise type(exc)(f"point {index} of {len(points)}: key '{key}' is too large: {exc}") from None
+            _name_too_large(exc, f"point {index} of {len(points)}", {key: w[key] for key in sizes})
     return rows
 
 
 KINDS = {
     "simulate": Kind(
-        ("workload", "arch"),
         _resolve_simulate,
         lambda resolved: _point_rows("simulate", [(resolved["workload"], resolved["arch"])]),
     ),
     "sweep": Kind(
-        ("workload", "arch", "grid"),
         _resolve_sweep,
         lambda resolved: _point_rows("sweep", _sweep_points(resolved)),
         sweepable=True,
     ),
     "compare": Kind(
-        ("workload", "archs"),
         _resolve_compare,
         lambda resolved: _point_rows("compare", [(resolved["workload"], a) for a in resolved["archs"]]),
     ),
-    "bounds": Kind(("entries",), _resolve_bounds, _bounds_rows),
-    "darksilicon": Kind(("generations",), _resolve_darksilicon, _darksilicon_rows, sweepable=True),
-    "validate": Kind(("seed", "corpus_size"), _resolve_validate, _validate_rows),
+    "bounds": Kind(_resolve_bounds, _bounds_rows),
+    "darksilicon": Kind(_resolve_darksilicon, _darksilicon_rows, sweepable=True),
+    "validate": Kind(_resolve_validate, _validate_rows),
 }
 
 
@@ -579,12 +573,11 @@ def _resolve(raw: dict) -> dict:
     if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError(f"kind must be one of {tuple(KINDS)}, got {kind!r}")
 
-    spec = KINDS[kind]
     resolved = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "output": _resolve_output(raw.get("output")),
-        **spec.resolve(raw),
+        **KINDS[kind].resolve(raw),
     }
-    _check_known_keys(raw, {"schema_version", "kind", "output", *spec.keys}, "config")
+    _check_known_keys(raw, set(resolved), "config")
     return resolved

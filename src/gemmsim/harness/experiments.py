@@ -55,7 +55,3 @@ def run_experiment(resolved: dict) -> list[dict[str, Any]]:
     input as OverflowError, which the CLI maps to its own exit code.
     """
     return KINDS[resolved["kind"]].rows(resolved)
-
-
-def validation_failed(rows: list[dict[str, Any]]) -> bool:
-    return any(row.get("failures") for row in rows)

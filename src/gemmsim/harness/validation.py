@@ -16,6 +16,8 @@ from .. import meshflow, streamer, summa, systolic
 from ..bounds import CommModel, dark_silicon, fisher_bound, inner_product_bound_input, tree_time
 from ..workload import GemmShape, Record, as_count, make_gemm, reference_matmul
 
+CORPUS_SIZE = 200  # instances of the randomized corpus unless a caller gives another size
+
 STREAMER_TRANSFER_KINDS = {
     "mem_to_ce",
     "ce_to_ce",
@@ -94,7 +96,7 @@ def corpus_instances(seed: int, size: int) -> list[CorpusInstance]:
     return instances
 
 
-def run_corpus_checks(seed: int = 0, corpus_size: int = 200) -> list[PropertyResult]:
+def run_corpus_checks(seed: int = 0, corpus_size: int = CORPUS_SIZE) -> list[PropertyResult]:
     """Exactness, formula agreement, MAC conservation and no-hop over the corpus."""
     p_exact = PropertyResult("simulator_exactness")
     p_formula = PropertyResult("systolic_formula_agreement")
@@ -294,7 +296,7 @@ def check_determinism(seed: int = 0) -> PropertyResult:
     return p
 
 
-def run_validation(seed: int = 0, corpus_size: int = 200) -> ValidationReport:
+def run_validation(seed: int = 0, corpus_size: int = CORPUS_SIZE) -> ValidationReport:
     seed = as_count(seed, "seed")  # corpus_instances checks corpus_size first
     properties = run_corpus_checks(seed, corpus_size)
     properties.append(check_bound_respect())

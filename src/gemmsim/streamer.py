@@ -44,17 +44,25 @@ class CETree(Record):
     level_latency is the clocks one CE level adds in either direction (long
     wires are assumed pipelineable, so this is a constant).  root_port_width
     is the operand elements the memory interface moves per clock, in each
-    direction.
+    direction; it defaults to the fanout.
     """
 
     _fields = ("num_pes", "fanout", "level_latency", "root_port_width")
 
-    def __init__(self, num_pes: int, fanout: int, level_latency: int, root_port_width: int) -> None:
+    def __init__(
+        self,
+        num_pes: int,
+        fanout: int = DEFAULT_FANOUT,
+        level_latency: int = DEFAULT_LEVEL_LATENCY,
+        root_port_width: int | None = None,
+    ) -> None:
+        num_pes = as_count(num_pes, "PE count", 1)
+        fanout = as_count(fanout, "fanout", 2)
         super().__init__(
-            as_count(num_pes, "PE count", 1),
-            as_count(fanout, "fanout", 2),
+            num_pes,
+            fanout,
             as_count(level_latency, "level latency", 1),
-            as_count(root_port_width, "root port width", 1),
+            as_count(fanout if root_port_width is None else root_port_width, "root port width", 1),
         )
 
     @property
@@ -63,19 +71,7 @@ class CETree(Record):
         return tree_time(self.num_pes, self.fanout)
 
 
-def build_ce_tree(
-    num_pes: int,
-    fanout: int = DEFAULT_FANOUT,
-    level_latency: int = DEFAULT_LEVEL_LATENCY,
-    root_port_width: int | None = None,
-) -> CETree:
-    """Smallest tree of the given fanout covering num_pes leaves.
-
-    root_port_width defaults to the fanout.
-    """
-    if root_port_width is None:
-        root_port_width = fanout
-    return CETree(num_pes, fanout, level_latency, root_port_width)
+build_ce_tree = CETree  # the smallest tree of its fanout covering num_pes leaves
 
 
 def _cs_transfer_counts(tree: CETree, m: int, n: int, k: int) -> dict[str, int]:
@@ -148,10 +144,9 @@ def simulate_tree_inner_product(
     per level_latency clocks: cycles = 1 + ceil(log_fanout(n)) * L.  There is
     no PE-to-PE hop anywhere, which is what beats the mesh bound.
     """
-    n = as_count(n, "inner product length", 1)
-    fanout = as_count(fanout, "fanout", 2)
-    level_latency = as_count(level_latency, "level latency", 1)
-    levels = tree_time(n, fanout)
+    n = as_count(n, "inner product length", 1)  # under its own name, before the tree's checks
+    tree = CETree(n, fanout, level_latency)
+    fanout, level_latency, levels = tree.fanout, tree.level_latency, tree.levels
     a, b = resolve_vector_operands(n, operands, seed)
     cycles = 1 + levels * level_latency
 

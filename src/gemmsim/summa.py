@@ -60,8 +60,8 @@ def simulate_summa(shape: GemmShape, block_width: int, cluster: ClusterModel) ->
     Block heights/widths use ceiling partitioning when the matrix does not
     divide the grid, and each step's cost uses the actual bytes of its
     (possibly ragged) blocks.  Computation and communication do not overlap:
-    total_time = comp_time + comm_time.  Pricing takes O(1) time in k; an
-    infinite cost raises OverflowError.
+    total_time = comp_time + comm_time.  Pricing takes O(1) time in k; a
+    broadcast that costs more seconds than a float holds raises OverflowError.
     """
     from fractions import Fraction  # imported here: no other model needs it
 
@@ -74,15 +74,19 @@ def simulate_summa(shape: GemmShape, block_width: int, cluster: ClusterModel) ->
     full, ragged = divmod(k, b)
     steps = full + (ragged > 0)
 
+    def broadcast(participants: int, nbytes: int, model: CommModel) -> Fraction:
+        cost = collective_cost(CollectiveKind.BROADCAST, participants, nbytes, model)
+        if cost == math.inf:
+            raise OverflowError(
+                f"a broadcast of {nbytes} bytes among {participants} nodes costs more seconds "
+                f"than a float holds (alpha {model.alpha}, beta {model.beta})"
+            )
+        return Fraction(cost)
+
     def step(width: int, model: CommModel) -> Fraction:
         """Exact cost of one step's two broadcasts, for blocks of the given width."""
-        return sum(
-            Fraction(collective_cost(CollectiveKind.BROADCAST, participants, nbytes, model))
-            for participants, nbytes in (
-                (cluster.p_cols, rows_per_node * width * eb),
-                (cluster.p_rows, width * cols_per_node * eb),
-            )
-        )
+        row_panel = broadcast(cluster.p_cols, rows_per_node * width * eb, model)
+        return row_panel + broadcast(cluster.p_rows, width * cols_per_node * eb, model)
 
     def comm(model: CommModel) -> float:
         """Every step's cost, summed exactly and rounded once, as math.fsum would.

@@ -116,6 +116,44 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     assert "rowz" in capsys.readouterr().err
 
 
+# A minimal valid config of each kind: validate both without and with its optional seed.
+GEMM_2 = {"m": 2, "n": 2, "k": 2}
+SYSTOLIC_2 = {"type": "systolic", "rows": 2, "cols": 2}
+MINIMAL_CONFIGS = {
+    "simulate": {"kind": "simulate", "workload": GEMM_2, "arch": SYSTOLIC_2},
+    "sweep": {"kind": "sweep", "workload": GEMM_2, "arch": SYSTOLIC_2, "grid": {"workload.k": [1]}},
+    "compare": {"kind": "compare", "workload": GEMM_2, "archs": [SYSTOLIC_2]},
+    "bounds": {"kind": "bounds",
+               "entries": [{"inputs": 4, "outputs": 1, "computations": 2, "dimension": 1}]},
+    "darksilicon": {"kind": "darksilicon", "generations": [0]},
+    "validate-no-seed": {"kind": "validate", "corpus_size": 1},
+    "validate-seed": {"kind": "validate", "seed": 3, "corpus_size": 1},
+}
+
+
+def test_minimal_configs_cover_every_kind():
+    assert {payload["kind"] for payload in MINIMAL_CONFIGS.values()} == set(config.KINDS)
+
+
+@pytest.mark.parametrize("case", MINIMAL_CONFIGS)
+def test_top_level_keys_are_the_resolved_keys(tmp_path, capsys, monkeypatch, case):
+    """The unknown-key check accepts exactly the keys the kind's resolver returns."""
+    monkeypatch.delenv(config.OUTPUT_DIR_ENV, raising=False)
+    out = tmp_path / "out"
+    payload = {"schema_version": 1, **MINIMAL_CONFIGS[case], "output": {"dir": str(out)}}
+    resolved = resolve_config(payload)
+    if payload["kind"] == "validate":
+        assert resolved["seed"] == payload.get("seed", 0)  # echoed when omitted
+    # Every resolved key, optional ones included, is a top-level key the kind accepts.
+    assert resolve_config(resolved) == resolved
+    others = {key for other in MINIMAL_CONFIGS.values() for key in other} | {"bogus"}
+    for extra in sorted(others - set(resolved)):
+        cfg = write_config(tmp_path, {**payload, extra: 1})
+        assert cli.main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"gemmsim: config error: unknown key '{extra}' in config\n"
+    assert not out.exists()
+
+
 def test_unreadable_config(tmp_path):
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 

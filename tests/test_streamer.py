@@ -50,6 +50,10 @@ def test_build_tree_defaults_and_validation():
     assert tree.level_latency == 1
     assert tree.root_port_width == 4  # defaults to the fanout
     assert tree.fanout**tree.levels >= tree.num_pes
+    assert build_ce_tree is CETree  # one type, with the defaults
+    assert CETree(16) == CETree(16, 4, 1, 4)
+    assert CETree(16, 3).root_port_width == 3
+    assert CETree(16, 3, 2, None) == CETree(16, 3, 2, 3)
     with pytest.raises(ValueError):
         build_ce_tree(8, 1)
     assert CETree(8, 2, 1, 4).levels == 3  # derived from PEs and fanout
@@ -130,6 +134,9 @@ def test_tree_inner_product_rejects_bad_level_latency(latency):
         (2**20, 1, 1, "fanout must be >= 2, got 1"),
         (True, 2, 1, "inner product length must be an integer, got True"),
         (16.0, 2, 1, "inner product length must be an integer, got 16.0"),
+        (0, 1, 0, "inner product length must be >= 1, got 0"),
+        (16, 1, 0, "fanout must be >= 2, got 1"),
+        (16, None, 1, "fanout must be an integer, got None"),
     ],
     ids=[
         "float-fanout",
@@ -140,6 +147,9 @@ def test_tree_inner_product_rejects_bad_level_latency(latency):
         "unary-fanout",
         "bool-length",
         "float-length",
+        "length-first",
+        "fanout-before-latency",
+        "null-fanout",
     ],
 )
 def test_tree_inner_product_checks_parameters_before_drawing(monkeypatch, n, fanout, latency, message):

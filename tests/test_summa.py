@@ -235,3 +235,20 @@ def test_long_k_prices_in_constant_time():
     assert res.steps == 10**6
     per_step = 2 * collective_cost(CollectiveKind.BROADCAST, 2, 2 * 1 * 4, cluster.comm)
     assert res.comm_time == pytest.approx(10**6 * per_step, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p_rows, p_cols, alpha, beta, message",
+    [
+        (2, 2, 1e308, 1e308, "a broadcast of 8 bytes among 2 nodes"),
+        (2, 2, 0.0, 1e308, "a broadcast of 8 bytes among 2 nodes"),
+        (4, 1, 1e308, 0.0, "a broadcast of 16 bytes among 4 nodes"),  # rounds * alpha
+    ],
+    ids=["both", "beta", "alpha"],
+)
+def test_infinite_broadcast_cost_names_its_bytes_nodes_and_model(p_rows, p_cols, alpha, beta, message):
+    # Each such cost used to raise "cannot convert Infinity to integer ratio" from Fraction.
+    cluster = ClusterModel(p_rows, p_cols, CommModel(alpha, beta), 1e9)
+    expected = f"{message} costs more seconds than a float holds (alpha {alpha}, beta {beta})"
+    with pytest.raises(OverflowError, match=f"^{re.escape(expected)}$"):
+        simulate_summa(GemmShape(4, 4, 4), 1, cluster)

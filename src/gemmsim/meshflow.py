@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import fisher_bound, inner_product_bound_input
 from .results import SimResult, build_result
-from .workload import Record, _adopt, as_count, resolve_vector_operands
+from .workload import Record, as_count, exact_inner_product, resolve_vector_operands
 
 
 class MeshConfig(Record):
@@ -108,7 +108,7 @@ def _sweep(
 
     return build_result(
         cycles,
-        _adopt(np.array([[np.dot(a, b)]])),
+        exact_inner_product(a, b),
         n + (occupied_rows - 1),  # column combines occupy MAC units too
         cfg.num_pes,
         phases={**dict(zip(stage_names, (row_phase, col_phase))), "drain": h},

@@ -23,6 +23,7 @@ from .workload import (
     Record,
     _adopt,
     as_count,
+    exact_inner_product,
     outer_product_schedule,  # unused: kept as perfbench's patch-site pin (ROADMAP item 1 part A)
     require_operand_range,
     resolve_vector_operands,
@@ -167,7 +168,7 @@ def simulate_tree_inner_product(
     phases = {"multiply": 1, "reduce": levels * level_latency}
     return build_result(
         cycles,
-        _adopt(np.array([[np.dot(a, b)]])),
+        exact_inner_product(a, b),
         n,
         n,
         phases=phases,

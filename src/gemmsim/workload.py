@@ -203,18 +203,23 @@ def require_operand_range(*operands: Matrix | np.ndarray) -> None:
 def resolve_vector_operands(
     n: int, operands: tuple[Sequence[int], Sequence[int]] | None, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit operand vectors, type- and range-checked, or generated ones.
-
-    Either way the vectors are read-only int64 arrays of length n.
-    """
+    """Explicit operand vectors, type- and range-checked, as int64, or generated
+    ones as int8: either way read-only arrays of length n."""
     n, seed = as_count(n, "inner product length", 1), as_count(seed, "seed")
     if operands is None:
-        return make_vectors(n, seed)
+        return make_vectors(n, seed, np.int8)
     if any(len(v) != n for v in operands):
         raise ValueError(f"operand vectors must have length {n}")
     a, b = (_operand_vector(v, n) for v in operands)
     require_operand_range(a, b)
     return a, b
+
+
+def exact_inner_product(a: np.ndarray, b: np.ndarray) -> Matrix:
+    """a . b as a 1 x 1 matrix, accumulated in int64 whatever the operands'
+    integer types.  ``np.dot`` accumulates in its operands' type, so int8
+    vectors would wrap; in-range operands keep |sum| <= n * 2^14."""
+    return _adopt(np.array([[np.einsum("i,i->", a, b, dtype=np.int64)]]))
 
 
 def _operand_vector(v: np.ndarray | Sequence[int], n: int) -> np.ndarray:
@@ -247,9 +252,9 @@ DRAW_ROUND_WORDS = 2**16
 _SHIFT, _OFFSET = np.int16(7), np.int16(OPERAND_MIN)
 
 
-def _draw_operands(seed: int, count: int) -> np.ndarray:
+def _draw_operands(seed: int, count: int, dtype: type = np.int64) -> np.ndarray:
     """``[random.Random(seed).randint(OPERAND_MIN, OPERAND_MAX) for _ in
-    range(count)]`` as a read-only int64 array.
+    range(count)]`` as a read-only array of dtype, a signed integer type.
 
     ``randint`` draws ``getrandbits(9)``, the top 9 bits of one 32-bit
     Mersenne Twister word, until it is below 256: it rejects the words
@@ -266,7 +271,7 @@ def _draw_operands(seed: int, count: int) -> np.ndarray:
     if count < NUMPY_DRAW_MIN:
         bits = random.Random(seed).getrandbits
         return _accept_words(
-            count, lambda w: np.frombuffer(bits(32 * w).to_bytes(4 * w, "little"), "<u4")
+            count, lambda w: np.frombuffer(bits(32 * w).to_bytes(4 * w, "little"), "<u4"), dtype
         )
     key = [abs(seed) >> s & 0xFFFFFFFF for s in range(0, max(abs(seed).bit_length(), 1), 32)]
     with _MT19937_LOCK:
@@ -274,7 +279,7 @@ def _draw_operands(seed: int, count: int) -> np.ndarray:
         rs.seed(key)
         # astype copies only on big-endian hosts.
         return _accept_words(
-            count, lambda w: rs.randint(0, 2**32, w, np.uint32).astype("<u4", copy=False)
+            count, lambda w: rs.randint(0, 2**32, w, np.uint32).astype("<u4", copy=False), dtype
         )
 
 
@@ -291,7 +296,7 @@ def _random_state():
     return RandomState(0)  # a fixed seed skips the OS entropy; each draw reseeds
 
 
-def _accept_words(count: int, words: Callable[[int], np.ndarray]) -> np.ndarray:
+def _accept_words(count: int, words: Callable[[int], np.ndarray], dtype: type) -> np.ndarray:
     """The rounds of ``_draw_operands``; ``words(w)`` gives the next w words as "<u4".
 
     Each round draws 2 * missing + 4 * sqrt(2 * missing) words, at most
@@ -299,9 +304,9 @@ def _accept_words(count: int, words: Callable[[int], np.ndarray]) -> np.ndarray:
     only four standard deviations below the mean, and a draw that fits one
     round rarely takes a second.  It tests the contiguous words against 2**31, gathers the high
     halves of the first ``missing`` accepted words, shifts and offsets them
-    in place and stores them straight into the output.
+    in place and stores them, all in range, straight into the dtype output.
     """
-    ops = np.empty(count, dtype=np.int64)
+    ops = np.empty(count, dtype=dtype)
     filled = 0
     while filled < count:
         missing = count - filled
@@ -331,13 +336,16 @@ def make_gemm(shape: GemmShape, seed: int) -> tuple[Matrix, Matrix]:
     return _adopt(ops[:split].reshape(shape.m, shape.k)), _adopt(ops[split:].reshape(shape.k, -1))
 
 
-def make_vectors(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def make_vectors(n: int, seed: int, dtype: type = np.int64) -> tuple[np.ndarray, np.ndarray]:
     """Reproducible operand vectors for the inner-product simulators.
 
-    Returns two read-only int64 views of one draw of 2n values: a, then b.
+    Returns two read-only views of one draw of 2n values, a then b, of dtype,
+    a signed integer type (int8 when the simulators draw their own).
     """
     n = as_count(n, "vector length", 1)
-    ops = _draw_operands(as_count(seed, "seed"), 2 * n)
+    if np.dtype(dtype).kind != "i":
+        raise ValueError(f"vector dtype must be a signed integer type, got {np.dtype(dtype)}")
+    ops = _draw_operands(as_count(seed, "seed"), 2 * n, dtype)
     return ops[:n], ops[n:]
 
 

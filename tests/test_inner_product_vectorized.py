@@ -1,9 +1,9 @@
 """Differential test: numpy inner-product reductions against the Python loops.
 
-The chain, grid and tree inner products reduce int64 operand arrays with
-numpy and count cycles and hops in closed form.  The references below are
-the pure-Python loops they replaced, run on operands drawn element by element
-with ``randint``.  Both must return equal ``SimResult`` objects, activity
+The chain, grid and tree inner products reduce int8 or int64 operand arrays
+exactly with numpy and count cycles and hops in closed form.  The references
+below are the pure-Python loops they replaced, run on operands drawn element
+by element with ``randint``.  Both must return equal ``SimResult`` objects, activity
 trace included, and traces must hold Python ints.
 """
 

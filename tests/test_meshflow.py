@@ -17,7 +17,7 @@ from gemmsim import (
     simulate_grid_reduction,
     simulate_tree_inner_product,
 )
-from gemmsim.workload import resolve_vector_operands
+from gemmsim.workload import NUMPY_DRAW_MIN, resolve_vector_operands
 
 
 def dot(a, b):
@@ -264,6 +264,21 @@ def test_grid_memory_follows_n_not_the_grid():
     assert peak < 64 * 1024
     assert res.scalar == dot(a, b)
     assert res.cycles == 1 + 15 * 2 + 1
+
+
+def test_generated_chain_memory_follows_int8_operands():
+    # 2 * 2^20 int8 operands are 2 MB; int64 ones were 16 MB.
+    make_vectors(NUMPY_DRAW_MIN, 0)  # imports numpy.random
+    tracemalloc.start()
+    try:
+        res = simulate_chain_reduction(2**20, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    a, b = make_vectors(2**20, 9)
+    assert res.scalar == int(np.dot(a, b))
+
 
 def test_grid_too_small_rejected():
     with pytest.raises(ValueError):

@@ -296,6 +296,21 @@ def test_multi_round_draw_matches_randint(seed, monkeypatch):
         assert _draw_operands(seed, count).tolist() == want[:count]
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_int8_draws_match_int64_draws(seed):
+    for count in COUNTS:
+        drawn = _draw_operands(seed, count, np.int8)
+        assert drawn.dtype == np.int8 and not drawn.flags.writeable
+        assert np.array_equal(drawn, _draw_operands(seed, count)), count
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_int8_multi_round_draws_match_int64_draws(seed, monkeypatch):
+    monkeypatch.setattr(workload, "DRAW_ROUND_WORDS", 7)
+    for count in (1, 2, 50, T + 3):
+        assert np.array_equal(_draw_operands(seed, count, np.int8), _draw_operands(seed, count))
+
+
 def test_interleaved_large_draws_match_randint():
     # Large draws share one RandomState: each reseeds it first, so a draw for
     # seed -7 between two for seed 3 changes neither.
@@ -348,6 +363,19 @@ def test_large_draw_peaks_at_output_plus_one_round(seed):
     assert 8 * count <= peak < 8 * count + 32 * DRAW_ROUND_WORDS
 
 
+def test_large_int8_draw_peaks_at_output_plus_one_round():
+    # As above, with one byte a value in the output.
+    count = 2**21
+    _draw_operands(0, NUMPY_DRAW_MIN)  # imports numpy.random
+    tracemalloc.start()
+    try:
+        _draw_operands(1, count, np.int8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count <= peak < count + 32 * DRAW_ROUND_WORDS
+
+
 def test_small_draws_never_import_numpy_random():
     # numpy.random costs ~6 MB of RSS; only draws of NUMPY_DRAW_MIN or more need it.
     code = (
@@ -394,6 +422,50 @@ def test_make_vectors():
     assert [v.tolist() for v in make_vectors(5, 1)] != [v.tolist() for v in make_vectors(5, 2)]
     with pytest.raises(ValueError):
         make_vectors(0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 999, 50_000])
+def test_make_vectors_defaults_to_int64(n):
+    # perfbench multiplies make_vectors(n, seed) elements as numpy scalars,
+    # which int8 would wrap.
+    wide, narrow = make_vectors(n, 7), make_vectors(n, 7, np.int8)
+    for v, w in zip(wide, narrow):
+        assert v.dtype == np.int64 and w.dtype == np.int8 and not w.flags.writeable
+        assert np.array_equal(v, w)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.float64])
+def test_make_vectors_rejects_other_dtypes(dtype):
+    name = np.dtype(dtype).name
+    with pytest.raises(ValueError, match=f"signed integer type, got {name}$"):
+        make_vectors(4, 1, dtype)
+
+
+@pytest.mark.parametrize(
+    "simulate", [simulate_chain_reduction, simulate_grid_reduction, simulate_tree_inner_product]
+)
+def test_simulators_draw_generated_operands_once(simulate, monkeypatch):
+    # perfbench's traced inner-product run counts one make_vectors span a call.
+    calls = []
+    draw = workload.make_vectors
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(workload, "make_vectors", counted)
+    res = simulate(1000, seed=3)
+    assert calls == [(1000, 3, np.int8)]
+    a, b = draw(1000, 3)
+    assert res.scalar == sum(x * y for x, y in zip(a.tolist(), b.tolist()))
+
+
+def test_exact_inner_product_accumulates_in_int64():
+    # (2^17 + 1) * 2^14 is above int32's range, and int8 or int32 sums wrap.
+    a = np.full(2**17 + 1, -128, dtype=np.int8)
+    c = workload.exact_inner_product(a, a)
+    assert c.data.dtype == np.int64 and (c.rows, c.cols) == (1, 1)
+    assert c.data.tolist() == [(2**17 + 1) * 2**14]
 
 
 # Every entry point that takes a seed, each returning a comparable value.

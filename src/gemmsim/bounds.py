@@ -114,11 +114,11 @@ def collective_cost(kind: CollectiveKind, p: int, nbytes: int, model: CommModel)
     where nbytes is the full payload size.  p = 1 costs nothing.
     """
     p, nbytes = as_count(p, "participant count", 1), as_count(nbytes, "byte count", 0)
+    if not isinstance(kind, CollectiveKind):
+        raise ValueError(f"unknown collective kind {kind!r}")
     if p == 1:
         return 0.0
     rounds = tree_time(p, 2)
     if kind in (CollectiveKind.BROADCAST, CollectiveKind.REDUCE):
         return rounds * (model.alpha + model.beta * nbytes)
-    if kind in (CollectiveKind.SCATTER, CollectiveKind.GATHER):
-        return rounds * model.alpha + ((p - 1) / p) * model.beta * nbytes
-    raise ValueError(f"unknown collective kind {kind!r}")
+    return rounds * model.alpha + ((p - 1) / p) * model.beta * nbytes  # scatter, gather

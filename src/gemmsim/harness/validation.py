@@ -118,9 +118,7 @@ def run_corpus_checks(seed: int = 0, corpus_size: int = CORPUS_SIZE) -> list[Pro
         )
         p_macs.check(sys_res.mac_ops_issued == shape.macs, f"systolic MAC count ({tag})")
 
-        tree = streamer.build_ce_tree(
-            inst.pes, inst.fanout, inst.level_latency, inst.port_width
-        )
+        tree = streamer.CETree(inst.pes, inst.fanout, inst.level_latency, inst.port_width)
         cs_res = streamer.simulate_cs_gemm(a, b, tree, inst.block_width)
         p_exact.check(cs_res.result == oracle, f"streamer result mismatch ({tag})")
         p_macs.check(cs_res.mac_ops_issued == shape.macs, f"streamer MAC count ({tag})")
@@ -210,7 +208,7 @@ def check_low_k_occupancy() -> PropertyResult:
         sys_res.utilization <= shape.k / 16,
         f"systolic utilization {sys_res.utilization} above k/R = {shape.k / 16}",
     )
-    cs_res = streamer.simulate_cs_gemm(a, b, streamer.build_ce_tree(256), 1)
+    cs_res = streamer.simulate_cs_gemm(a, b, streamer.CETree(256), 1)
     p.check(
         cs_res.steady_state_utilization >= 2 * sys_res.utilization,
         f"streamer steady-state {cs_res.steady_state_utilization} below "
@@ -227,7 +225,7 @@ def check_log_latency_scaling() -> PropertyResult:
     a, b = make_gemm(shape, 11)
     port_width = 2
     for pes in (64, 256, 1024):
-        tree = streamer.build_ce_tree(pes, 2, 1, port_width)
+        tree = streamer.CETree(pes, 2, 1, port_width)
         res = streamer.simulate_cs_gemm(a, b, tree, 1)
         levels = tree_time(pes, 2)
         gather_stream = max(-(-shape.m * shape.n // port_width), -(-shape.m * shape.n // pes))
@@ -288,7 +286,7 @@ def check_determinism(seed: int = 0) -> PropertyResult:
     second = systolic.simulate_systolic_gemm(a, b, cfg, with_trace=True)
     p.check(first == second, "systolic runs differ on identical inputs")
 
-    tree = streamer.build_ce_tree(16, 2, 1, 4)
+    tree = streamer.CETree(16, 2, 1, 4)
     p.check(
         streamer.simulate_cs_gemm(a, b, tree, 2) == streamer.simulate_cs_gemm(a, b, tree, 2),
         "streamer runs differ on identical inputs",

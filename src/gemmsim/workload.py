@@ -203,34 +203,31 @@ def require_operand_range(*operands: Matrix | np.ndarray) -> None:
 def resolve_vector_operands(
     n: int, operands: tuple[Sequence[int], Sequence[int]] | None, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit operand vectors, type- and range-checked, as int64, or generated
-    ones as int8: either way read-only arrays of length n."""
+    """Read-only operand vectors of length n: generated ones are int8; an
+    explicit 1-D signed-integer array is read in place at its own width; a
+    list, a tuple or any other array becomes int64 through Matrix, which
+    rejects floats, bools and values outside int64.  Explicit ones are then
+    range-checked."""
     n, seed = as_count(n, "inner product length", 1), as_count(seed, "seed")
     if operands is None:
         return make_vectors(n, seed, np.int8)
     if any(len(v) != n for v in operands):
         raise ValueError(f"operand vectors must have length {n}")
-    a, b = (_operand_vector(v, n) for v in operands)
+    a, b = (
+        v.view() if isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind == "i"
+        else Matrix(1, n, v).data
+        for v in operands
+    )
+    a.flags.writeable = b.flags.writeable = False
     require_operand_range(a, b)
     return a, b
 
 
 def exact_inner_product(a: np.ndarray, b: np.ndarray) -> Matrix:
     """a . b as a 1 x 1 matrix, accumulated in int64 whatever the operands'
-    integer types.  ``np.dot`` accumulates in its operands' type, so int8
-    vectors would wrap; in-range operands keep |sum| <= n * 2^14."""
+    signed-integer widths or byte orders.  ``np.dot`` accumulates in its
+    operands' type, so int8 vectors would wrap; in-range ones keep |sum| <= n * 2^14."""
     return _adopt(np.array([[np.einsum("i,i->", a, b, dtype=np.int64)]]))
-
-
-def _operand_vector(v: np.ndarray | Sequence[int], n: int) -> np.ndarray:
-    """A 1-D signed-integer array read in place as int64 (copied only from a
-    narrower type), or any other vector through Matrix, which rejects floats,
-    bools and values outside int64."""
-    if not (isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind == "i"):
-        return Matrix(1, n, v).data
-    v = v.astype(np.int64, copy=False).view()
-    v.flags.writeable = False
-    return v
 
 
 # Draws of at least this many values take their words from numpy's legacy

@@ -210,6 +210,9 @@ def test_collective_cost_validation():
         collective_cost(CollectiveKind.BROADCAST, 2.5, 10, model)
     with pytest.raises(ValueError, match="^byte count must be an integer"):
         collective_cost(CollectiveKind.BROADCAST, 2, 2.5, model)
+    for p in (1, 4):  # p = 1 used to return 0.0 before the kind was looked at
+        with pytest.raises(ValueError, match="^unknown collective kind 'bogus'$"):
+            collective_cost("bogus", p, 8, model)
     for alpha, beta in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, math.inf)):
         with pytest.raises(ValueError, match="^alpha and beta must be finite"):
             CommModel(alpha, beta)

@@ -722,6 +722,23 @@ def test_validate_fault_fails_only_its_property(monkeypatch, fault):
     assert all(line.startswith(f"{simulator} ") for line in failed[prop])
 
 
+def test_validate_reports_a_rejected_summa_block_width(monkeypatch):
+    """A block width that SUMMA rejects fails summa_structure alone, in one line."""
+    from gemmsim.harness import validation as validation_mod
+
+    real = validation_mod.summa.simulate_summa
+
+    def rejects_seven(shape, width, cluster):
+        if width == 7:
+            raise ValueError("no block width 7")
+        return real(shape, width, cluster)
+
+    monkeypatch.setattr(validation_mod.summa, "simulate_summa", rejects_seven)
+    report = run_validation(seed=0, corpus_size=4)
+    failed = {p.name: p.failures for p in report.properties if p.failures}
+    assert failed == {"summa_structure": ["b=7 rejected: no block width 7"]}
+
+
 def test_validate_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["validate", "--seed", "3", "--corpus-size", "4"]) == 0
     err = capsys.readouterr().err

@@ -167,23 +167,16 @@ def test_explicit_numpy_operands_are_accepted(simulate):
         simulate(3, operands=(a, np.array([1, 128, 1])))
 
 
-def test_int64_operand_vectors_are_read_in_place():
-    a = np.array([3, -2, 5, 0])
-    b = np.arange(-8, 8, dtype=np.int64)[::4]  # strided, as a column of a matrix is
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_signed_int_operand_vectors_are_read_in_place(dtype):
+    a = np.array([3, -2, 5, 0], dtype=dtype)
+    b = np.arange(-8, 8, dtype=dtype)[::4]  # strided, as a column of a matrix is
     ra, rb = resolve_vector_operands(4, (a, b), 0)
     assert np.shares_memory(ra, a) and np.shares_memory(rb, b)
     assert not ra.flags.writeable and not rb.flags.writeable
-    assert ra.dtype == rb.dtype == np.int64
+    assert ra.dtype == rb.dtype == dtype  # at their own width
     assert a.flags.writeable and b.flags.writeable  # the caller's arrays are untouched
     assert ra.tolist() == [3, -2, 5, 0] and rb.tolist() == [-8, -4, 0, 4]
-
-
-@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
-def test_narrower_int_operand_vectors_come_back_as_int64(dtype):
-    a = np.array([3, -2, 5], dtype=dtype)
-    ra, rb = resolve_vector_operands(3, (a, a), 0)
-    for r in (ra, rb):
-        assert r.dtype == np.int64 and not r.flags.writeable and r.tolist() == [3, -2, 5]
 
 
 @pytest.mark.parametrize(
@@ -267,17 +260,20 @@ def test_grid_memory_follows_n_not_the_grid():
 
 
 def test_generated_chain_memory_follows_int8_operands():
-    # 2 * 2^20 int8 operands are 2 MB; int64 ones were 16 MB.
+    # 2 * 2^20 int8 operands are 2 MB; int64 ones were 16 MB.  Explicit int8
+    # vectors are read in place, so that call copies none of them.
     make_vectors(NUMPY_DRAW_MIN, 0)  # imports numpy.random
-    tracemalloc.start()
-    try:
-        res = simulate_chain_reduction(2**20, seed=9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
     a, b = make_vectors(2**20, 9)
-    assert res.scalar == int(np.dot(a, b))
+    explicit = (a.astype(np.int8), b.astype(np.int8))
+    for kwargs, limit in (({"seed": 9}, 4 * 2**20), ({"operands": explicit}, 2**20)):
+        tracemalloc.start()
+        try:
+            res = simulate_chain_reduction(2**20, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, list(kwargs)
+        assert res.scalar == int(np.dot(a, b))
 
 
 def test_grid_too_small_rejected():

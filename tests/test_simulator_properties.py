@@ -4,6 +4,8 @@ Each simulator runs on derandomized hypothesis draws and must return the
 oracle's result, its documented closed-form cycle count, the MAC count of
 its workload, a utilization in [0, 1], phases that sum to its cycles, and,
 when traced, a trace of length ``cycles`` that sums to ``mac_ops_issued``.
+The inner products must also give one result whatever form their explicit
+operands take.
 The cycle formulas below are written out here, independent of the code
 under test.
 """
@@ -11,6 +13,7 @@ under test.
 import operator
 from itertools import count
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +32,10 @@ from gemmsim import (
     simulate_tree_inner_product,
     systolic_cycle_formula,
 )
+from gemmsim.workload import OPERAND_MAX, OPERAND_MIN
 
 SIDE = st.integers(1, 24)
+OPERAND = st.integers(OPERAND_MIN, OPERAND_MAX)
 SETTINGS = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 
 
@@ -164,3 +169,27 @@ def test_tree(n, fanout, latency, with_trace):
     assert res.scalar == dot(a, b)
     check_accounting(res, 1 + depth(n, fanout) * latency, n, with_trace)
     assert res.transfer_counts["pe_to_pe"] == 0
+
+
+def operand_forms(values):
+    """The same values as each explicit operand form: a list, a signed-integer
+    array of each width, a big-endian one and a strided int64 view."""
+    arr = np.array(values, dtype=np.int64)
+    widths = (np.int8, np.int16, np.int32, np.int64, ">i4")
+    return [values, *(arr.astype(t) for t in widths), np.repeat(arr, 2)[::2]]
+
+
+@SETTINGS
+@given(st.lists(st.tuples(OPERAND, OPERAND), min_size=1, max_size=24), st.booleans())
+def test_operand_form_does_not_change_the_result(pairs, with_trace):
+    """Chain, grid and tree give equal results whatever form the same operands take;
+    each form of a meets the next form of b, so widths and byte orders mix."""
+    a, b = map(list, zip(*pairs))
+    forms_a, forms_b = operand_forms(a), operand_forms(b)
+    forms_b = forms_b[1:] + forms_b[:1]
+    n = len(a)
+    for simulate in (simulate_chain_reduction, simulate_grid_reduction, simulate_tree_inner_product):
+        want = simulate(n, operands=(a, b), with_trace=with_trace)
+        assert want.scalar == sum(map(operator.mul, a, b))
+        for fa, fb in zip(forms_a, forms_b):
+            assert simulate(n, operands=(fa, fb), with_trace=with_trace) == want

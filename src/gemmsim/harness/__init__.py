@@ -1,17 +1,1 @@
 """Experiment harness: config ingestion, execution, reports, validation."""
-
-from .config import ConfigError, load_config, resolve_config
-from .experiments import REPORT_COLUMNS, run_experiment
-from .report import write_report
-from .validation import ValidationReport, run_validation
-
-__all__ = [
-    "ConfigError",
-    "REPORT_COLUMNS",
-    "ValidationReport",
-    "load_config",
-    "resolve_config",
-    "run_experiment",
-    "run_validation",
-    "write_report",
-]

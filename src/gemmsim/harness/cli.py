@@ -27,35 +27,29 @@ def _err(message: str) -> None:
     print(f"gemmsim: {message}", file=sys.stderr)
 
 
-def _execute(config_path: str, require_sweep: bool) -> int:
-    try:
-        resolved = resolve_config(load_config(config_path))
-        if require_sweep and not KINDS[resolved["kind"]].sweepable:
-            accepted = " or ".join(f"'{kind}'" for kind, spec in KINDS.items() if spec.sweepable)
-            raise ConfigError(f"the sweep command needs kind {accepted}, got '{resolved['kind']}'")
-        rows = run_experiment(resolved)  # a bad or infeasible point is a ConfigError
-        csv_path, sidecar_path = write_report(resolved, rows, __version__)  # so is a bad directory
-    except ConfigError as exc:
-        _err(f"config error: {exc}")
-        return EXIT_CONFIG
-    except (ValueError, OverflowError) as exc:
-        _err(f"simulation input rejected: {exc}")
-        return EXIT_SIM_INPUT
-    except MemoryError as exc:  # numpy names the allocation; a bare one is empty
-        _err(f"simulation input rejected: out of memory{f' ({exc})' if str(exc) else ''}")
-        return EXIT_SIM_INPUT
+def _run(args: argparse.Namespace) -> int:
+    """Run one parsed command; a rejected input raises, and main maps it to its exit code."""
+    if args.command == "version":
+        print(f"gemmsim {__version__}")
+        return EXIT_OK
+    if args.command == "validate":
+        if args.corpus_size < 1:
+            raise ConfigError("--corpus-size must be >= 1")
+        report = run_validation(seed=args.seed, corpus_size=args.corpus_size)
+        for line in report.lines():
+            print(line, file=sys.stderr)
+        return EXIT_OK if report.ok else EXIT_VALIDATION
+    resolved = resolve_config(load_config(args.config))
+    if args.command == "sweep" and not KINDS[resolved["kind"]].sweepable:
+        accepted = " or ".join(f"'{kind}'" for kind, spec in KINDS.items() if spec.sweepable)
+        raise ConfigError(f"the sweep command needs kind {accepted}, got '{resolved['kind']}'")
+    rows = run_experiment(resolved)  # a bad or infeasible point is a ConfigError
+    csv_path, sidecar_path = write_report(resolved, rows, __version__)  # so is a bad directory
     _err(f"wrote {csv_path} and {sidecar_path} ({len(rows)} rows)")
     if any(row.get("failures") for row in rows):
         _err("validation: FAIL")
         return EXIT_VALIDATION
     return EXIT_OK
-
-
-def _run_validate(seed: int, corpus_size: int) -> int:
-    report = run_validation(seed=seed, corpus_size=corpus_size)
-    for line in report.lines():
-        print(line, file=sys.stderr)
-    return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
 @functools.cache  # built by the first call, not at import, and shared by every later one
@@ -82,19 +76,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "run":
-        return _execute(args.config, require_sweep=False)
-    if args.command == "sweep":
-        return _execute(args.config, require_sweep=True)
-    if args.command == "validate":
-        if args.corpus_size < 1:
-            _err("config error: --corpus-size must be >= 1")
-            return EXIT_CONFIG
-        return _run_validate(args.seed, args.corpus_size)
-    if args.command == "version":
-        print(f"gemmsim {__version__}")
-        return EXIT_OK
-    return EXIT_CONFIG
+    try:
+        return _run(args)
+    except ConfigError as exc:
+        _err(f"config error: {exc}")
+        return EXIT_CONFIG
+    except (ValueError, OverflowError) as exc:
+        _err(f"simulation input rejected: {exc}")
+        return EXIT_SIM_INPUT
+    except MemoryError as exc:  # numpy names the allocation; a bare one is empty
+        _err(f"simulation input rejected: out of memory{f' ({exc})' if str(exc) else ''}")
+        return EXIT_SIM_INPUT
 
 
 if __name__ == "__main__":

@@ -295,7 +295,7 @@ def check_determinism(seed: int = 0) -> PropertyResult:
 
 
 def run_validation(seed: int = 0, corpus_size: int = CORPUS_SIZE) -> ValidationReport:
-    seed = as_count(seed, "seed")  # corpus_instances checks corpus_size first
+    seed = as_count(seed, "seed")  # a Python int: random.Random(seed + 1) refuses numpy ints
     properties = run_corpus_checks(seed, corpus_size)
     properties.append(check_bound_respect())
     properties.append(check_dark_silicon())

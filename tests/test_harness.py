@@ -202,21 +202,30 @@ def test_simulator_precondition_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     assert "rejected" in capsys.readouterr().err
 
 
+RUN_SYSTOLIC = ["run", str(CONFIGS / "simulate_systolic.json")]
+VALIDATE_ONE = ["validate", "--corpus-size", "1"]
+
+
 @pytest.mark.parametrize(
-    "args, shown",
+    "command, args, shown",
     [
-        ((), "out of memory"),
-        (("Unable to allocate 8.00 TiB",), "out of memory (Unable to allocate 8.00 TiB)"),
+        (RUN_SYSTOLIC, (), "out of memory"),
+        (RUN_SYSTOLIC, ("Unable to allocate 8.00 TiB",), "out of memory (Unable to allocate 8.00 TiB)"),
+        (VALIDATE_ONE, (), "out of memory"),
+        (VALIDATE_ONE, ("Unable to allocate 8.00 TiB",), "out of memory (Unable to allocate 8.00 TiB)"),
     ],
-    ids=["bare", "numpy"],
+    ids=["bare", "numpy", "validate-bare", "validate-numpy"],
 )
-def test_simulator_memory_error_maps_to_exit_3(tmp_path, capsys, monkeypatch, args, shown):
+def test_simulator_memory_error_maps_to_exit_3(tmp_path, capsys, monkeypatch, command, args, shown):
+    """Every command shares one error boundary: validate's corpus runs the
+    same systolic simulator as run, and out of memory exits 3 from both."""
+
     def exhausted(*_args, **_kwargs):
         raise MemoryError(*args)  # raised directly: the test allocates nothing
 
     monkeypatch.setattr(importlib.import_module("gemmsim.systolic"), "simulate_systolic_gemm", exhausted)
     monkeypatch.setenv("GEMMSIM_OUTPUT_DIR", str(tmp_path))
-    assert cli.main(["run", str(CONFIGS / "simulate_systolic.json")]) == 3
+    assert cli.main(command) == 3
     assert capsys.readouterr().err == f"gemmsim: simulation input rejected: {shown}\n"
     assert list(tmp_path.iterdir()) == []
 

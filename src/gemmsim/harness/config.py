@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, NoReturn
+from typing import Any, Callable, NoReturn
 
 from .. import bounds, meshflow, streamer, summa, systolic
 from .. import workload as workload_mod
@@ -406,7 +406,7 @@ def _validate_rows(resolved: dict) -> list[dict[str, Any]]:
     return rows
 
 
-class Arch(NamedTuple):
+class Arch(workload_mod.Record):
     """One machine: its workload kind, its keys in resolution order, and its runner.
 
     keys maps each key to its default: REQUIRED, a value, or a function of the
@@ -418,11 +418,17 @@ class Arch(NamedTuple):
     any point runs.
     """
 
-    workload: str
-    keys: dict[str, Any]
-    run: Callable[[dict, dict], Any]
-    mesh_dimension: int | None = None
-    feasible: tuple[str, str, Callable[[dict, dict], bool]] | None = None
+    _fields = ("workload", "keys", "run", "mesh_dimension", "feasible")
+
+    def __init__(
+        self,
+        workload: str,
+        keys: dict[str, Any],
+        run: Callable[[dict, dict], Any],
+        mesh_dimension: int | None = None,
+        feasible: tuple[str, str, Callable[[dict, dict], bool]] | None = None,
+    ) -> None:
+        super().__init__(workload, keys, run, mesh_dimension, feasible)
 
 
 def _operands(w: dict) -> tuple:
@@ -505,7 +511,7 @@ SECTIONS = {"workload": ("kind", WORKLOAD_KINDS, WORKLOAD_FIELDS),
             "arch": ("type", ARCHS, ARCH_FIELDS)}
 
 
-class Kind(NamedTuple):
+class Kind(workload_mod.Record):
     """One experiment kind: its resolver and row producer.
 
     resolve maps the raw config to the kind's resolved keys, which are its
@@ -515,9 +521,15 @@ class Kind(NamedTuple):
     `gemmsim sweep` accepts.
     """
 
-    resolve: Callable[[dict], dict]
-    rows: Callable[[dict], list[dict[str, Any]]]
-    sweepable: bool = False
+    _fields = ("resolve", "rows", "sweepable")
+
+    def __init__(
+        self,
+        resolve: Callable[[dict], dict],
+        rows: Callable[[dict], list[dict[str, Any]]],
+        sweepable: bool = False,
+    ) -> None:
+        super().__init__(resolve, rows, sweepable)
 
 
 def _point_rows(kind: str, points: list[tuple[dict, dict]]) -> list[dict[str, Any]]:

@@ -189,7 +189,9 @@ def test_over_long_basename_is_config_error(tmp_path, capsys):
 def test_simulator_precondition_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     # Resolution rejects this point as infeasible; without that check the
     # simulator's own rejection must still map to exit 3.
-    monkeypatch.setitem(config.ARCHS, "streamer", config.ARCHS["streamer"]._replace(feasible=None))
+    spec = config.ARCHS["streamer"]
+    unchecked = config.Arch(spec.workload, spec.keys, spec.run, spec.mesh_dimension, feasible=None)
+    monkeypatch.setitem(config.ARCHS, "streamer", unchecked)
     payload = {
         "schema_version": 1,
         "kind": "simulate",

@@ -1,11 +1,13 @@
 """gemmsim's value records: construction, immutability, equality, repr, copies."""
 
+import builtins
 import copy
 import dataclasses
 import importlib
 import inspect
 import pickle
 import pkgutil
+import sys
 
 import numpy as np
 import pytest
@@ -20,9 +22,11 @@ from gemmsim import (
     Matrix,
     MeshBoundInput,
     MeshConfig,
+    SimResult,
     SummaResult,
     SystolicConfig,
 )
+from gemmsim.harness import config
 from gemmsim.harness.validation import CorpusInstance
 
 # One valid instance of every record, as its fields in order.
@@ -51,6 +55,13 @@ RECORDS = [
         dict(
             shape=GemmShape(2, 3, 4), seed=7, array_rows=4, array_cols=8, pes=6, fanout=2,
             level_latency=1, port_width=2, block_width=3,
+        ),
+    ),
+    (
+        SimResult,  # the optional fields left None, so that it hashes
+        dict(
+            cycles=4, result=Matrix(1, 2, (5, 6)), mac_ops_issued=6, num_units=2, utilization=0.75,
+            steady_state_utilization=None, phases=None, transfer_counts=None, activity_trace=None,
         ),
     ),
 ]
@@ -103,11 +114,10 @@ def test_matrix_copies_stay_read_only(clone):
 
 
 def test_sim_result_is_the_only_dataclass():
-    # SimResult stays a dataclass because tests/test_harness.py and
-    # perfbench/test_bench.py build faulty results with dataclasses.replace.
-    # Every other value type is a workload.Record: a dataclass generates its
-    # methods through exec when its module is imported, which gemmsim pays
-    # on every start.
+    # SimResult carries dataclass field metadata because tests/test_harness.py
+    # and perfbench/test_bench.py build faulty results with dataclasses.replace;
+    # its decorator generates no method, and Record supplies them.  No other
+    # value type needs the metadata.
     found = set()
     for info in pkgutil.walk_packages(gemmsim.__path__, "gemmsim."):
         module = importlib.import_module(info.name)
@@ -115,3 +125,66 @@ def test_sim_result_is_the_only_dataclass():
             if obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj):
                 found.add(f"{module.__name__}.{name}")
     assert found == {"gemmsim.results.SimResult"}
+
+
+def test_sim_result_serves_dataclasses_replace():
+    fields = dict(RECORDS)[SimResult]
+    names = [f.name for f in dataclasses.fields(SimResult)]
+    assert names == list(fields)
+
+    res = SimResult(**fields)
+    faulty = dataclasses.replace(res, cycles=5)
+    assert type(faulty) is SimResult and faulty.cycles == 5
+    assert {name: getattr(faulty, name) for name in names} == {**fields, "cycles": 5}
+    assert res.cycles == 4
+
+    short = SimResult(4, fields["result"], 6, 2, 0.75)
+    assert short == res
+    assert all(getattr(short, name) is None for name in names[5:])
+
+
+def test_arch_and_kind_keep_their_defaults():
+    run, feasible = (lambda arch, w: None), ("key 'pes'", "pes >= 1", lambda arch, w: True)
+    arch = config.Arch("gemm", {"pes": config.REQUIRED}, run)
+    assert arch._fields == ("workload", "keys", "run", "mesh_dimension", "feasible")
+    assert (arch.workload, arch.keys, arch.run) == ("gemm", {"pes": config.REQUIRED}, run)
+    assert arch.mesh_dimension is None and arch.feasible is None
+    given = config.Arch("gemm", {}, run, mesh_dimension=2, feasible=feasible)
+    assert (given.mesh_dimension, given.feasible) == (2, feasible)
+
+    resolve, rows = (lambda raw: raw), (lambda resolved: [])
+    kind = config.Kind(resolve, rows)
+    assert kind._fields == ("resolve", "rows", "sweepable")
+    assert (kind.resolve, kind.rows, kind.sweepable) == (resolve, rows, False)
+    assert config.Kind(resolve, rows, sweepable=True).sweepable is True
+
+
+def test_import_builds_no_code_from_source_text(monkeypatch):
+    # Every module is loaded once already, so importing gemmsim's modules
+    # again runs only their own code: a dataclass's generated methods and a
+    # named tuple's __new__ would show up here as exec or eval of a string.
+    modules = pkgutil.walk_packages(gemmsim.__path__, "gemmsim.")
+    names = ["gemmsim", *(info.name for info in modules)]
+    for name in names:
+        importlib.import_module(name)
+    loaded = {name: sys.modules[name] for name in names}
+    sources = []
+
+    def counting(builtin):
+        def call(source, *args, **kwargs):
+            if isinstance(source, str):
+                sources.append(source)
+            return builtin(source, *args, **kwargs)
+        return call
+
+    try:
+        for name in names:
+            del sys.modules[name]
+        monkeypatch.setattr(builtins, "exec", counting(builtins.exec))
+        monkeypatch.setattr(builtins, "eval", counting(builtins.eval))
+        for name in names:
+            importlib.import_module(name)
+    finally:
+        monkeypatch.undo()
+        sys.modules.update(loaded)  # later tests keep the classes they imported
+    assert sources == []
